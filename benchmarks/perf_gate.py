@@ -1,17 +1,24 @@
 #!/usr/bin/env python
-"""Benchmark gate: optimized vs pre-optimization hot paths, with CI gating.
+"""Benchmark gate: work counters, oracle answers and speed floors, for CI.
 
-Runs the filtering workloads behind ``test_bench_pruning_cost`` (Q16
-filtering under several thresholds) and ``test_bench_figure10`` (Q24
-filtering), plus a **verification workload** (full figure10 searches —
-filter *and* verify), twice each:
+The **oracle** is NaiveSearch configured with ``verifier="legacy"`` and
+``verify_kernel="legacy"``: every live graph verified by the recursive
+reference superposition search, with no filtering, caches or array kernel.
 
-* once with every optimization disabled (``repro.perf.optimizations_disabled``
-  — no memo caches, hash-set candidate intersection, per-entry range scans,
-  and the legacy sequential verifier), and
-* once with the optimized paths on (structure-code / query-fragment /
-  range-query / exact-distance caches, big-int bitset intersection,
-  vectorized scans, and the bounded verifier of ``repro.search.verify``).
+The filtering workloads behind ``test_bench_pruning_cost`` (Q16 filtering
+under several thresholds) and ``test_bench_figure10`` (Q24 filtering) gate
+on **exact, hardware-independent work counters**: the range queries the
+planner issues (``plan.range_queries``) and the candidates the filter
+keeps (``filter.candidates``) must equal the checked-in baseline values,
+and full searches over the same queries must answer exactly like the
+oracle.
+
+A **verification workload** (``figure10_verify``: full figure10 searches,
+filter *and* verify) runs twice: once with the oracle's verification
+configuration (``verifier="legacy"``, ``verify_kernel="legacy"``) and once
+with the defaults (the bounded verifier of ``repro.search.verify`` over the
+array kernel, with its distance cache).  Answers must be byte-identical and
+the verify-phase speedup must meet ``--min-verify-speedup``.
 
 It additionally runs an **incremental-update workload**: a churn batch of
 adds + removes applied through ``FragmentIndex.add_graph`` /
@@ -55,11 +62,11 @@ post-storm query pass are byte-identical to a *serial* replay of the same
 mutation batches on a control engine.
 
 A **kernel workload** (PR 10) protects the array superposition kernel:
-``verify_kernel`` answers the figure10 query set cold — every memo cache
-disabled on both sides, so each search pays its full verification cost —
-once on the recursive reference search (all optimizations off) and once on
-the array kernel (``optimizations_disabled("caches")``, leaving the kernel
-and the bounded verifier on).  Answer ids and exact distances must be
+``verify_kernel`` answers the figure10 query set cold — the index caches
+are cleared before every search, so each search pays its full verification
+cost — once in the oracle's verification configuration (legacy verifier,
+recursive search) and once in the default one (bounded verifier, array
+kernel).  Answer ids and exact distances must be
 byte-identical, a 4-shard engine running the kernel must answer
 byte-identically too, and the verify-phase speedup must meet
 ``--min-kernel-speedup`` (default 3×).  The per-path
@@ -71,21 +78,19 @@ A **planner workload** (PR 9) protects plan-once scatter-gather:
 and a 1-shard engine and compares **total filter-phase work** (summed
 ``filter.seconds`` + ``plan.seconds`` across all shards).  With the global
 planner shipping one plan to every shard, the 4-shard total must stay
-within ``--max-plan-ratio`` (default 1.3×) of the single-shard cost — the
-legacy per-shard planning path is measured alongside for reference —
+within ``--max-plan-ratio`` (default 1.3×) of the single-shard cost,
 answers must be byte-identical across topologies, and a warm repeat pass
 must be served from the plan cache (``plan.cache_hits`` observed).  Work
 totals are executor-independent, so this gate holds on single-core
 machines too.
 
-It asserts the two paths return **identical candidate sets** (filter
-workloads) and **identical answer ids and distances** (verify, update,
-sharding, and serving workloads), records the speedups plus counter deltas
-into the ``gate`` section of ``benchmarks/history/BENCH_pr10.json``, and
-exits non-zero when
+It asserts **identical answer ids and distances** on every workload,
+records the speedups, work counters and counter deltas into the ``gate``
+section of ``benchmarks/history/BENCH_pr10.json``, and exits non-zero when
 
-* candidate sets or answer sets differ between the paths,
-* the pruning-cost speedup is below ``--min-speedup`` (default 1.5×),
+* answer sets differ from the oracle or between the compared paths,
+* a filter workload's ``plan.range_queries`` or ``filter.candidates``
+  differs from the baseline value (``--check-baseline``),
 * the verify-phase speedup is below ``--min-verify-speedup`` (default
   2.5×),
 * the cold kernel verify-phase speedup is below ``--min-kernel-speedup``
@@ -127,7 +132,8 @@ from repro.experiments import build_environment  # noqa: E402
 from repro.index.fragment_index import FragmentIndex  # noqa: E402
 from repro.index.persistence import index_to_dict  # noqa: E402
 from repro.index.sharded import ShardedFragmentIndex  # noqa: E402
-from repro.perf import GLOBAL_COUNTERS, optimizations_disabled  # noqa: E402
+from repro.perf import GLOBAL_COUNTERS  # noqa: E402
+from repro.search.baselines import NaiveSearch  # noqa: E402
 from repro.search.pis import PISearch  # noqa: E402
 from repro.serve import QueryServer, ServeOverloadedError  # noqa: E402
 
@@ -135,7 +141,7 @@ import bench_common  # noqa: E402
 from bench_common import full_bench_config, quick_bench_config  # noqa: E402
 
 
-#: the measured filtering workloads: (name, query edges, thresholds, rounds)
+#: the counter-gated filtering workloads: (name, query edges, thresholds, rounds)
 WORKLOADS = (
     ("pruning_cost", 16, (1.0, 2.0, 3.0), 2),
     ("figure10", 24, (1.0, 3.0, 5.0), 2),
@@ -174,6 +180,12 @@ GLOBAL_PLAN_WORKLOAD = ("global_plan", 16, (1.0, 2.0), 4, 32)
 #: byte-identity checks are enforced everywhere regardless
 PARALLEL_WORKLOADS = frozenset({"sharded_search", "sharded_build"})
 
+#: the exact work counters the filtering workloads are gated on
+GATED_COUNTERS = ("plan.range_queries", "filter.candidates")
+
+#: verification keyword arguments of the oracle configuration
+ORACLE_VERIFICATION = {"verifier": "legacy", "verify_kernel": "legacy"}
+
 
 def _clear_caches(environment) -> None:
     environment.index.clear_caches()
@@ -192,20 +204,27 @@ def _run_filters(environment, queries, sigmas, rounds):
     return time.perf_counter() - start, candidates
 
 
-def _run_searches(environment, queries, sigmas, rounds):
-    """Run full PIS searches (filter + verify) over the workload.
+def _run_searches(
+    environment, queries, sigmas, rounds, strategy=None, cold=False, **params
+):
+    """Run full searches (filter + verify) over the workload.
 
-    Returns ``(verify_seconds, total_seconds, answers)`` where ``answers``
-    is a JSON-comparable payload of every search's answer ids and exact
-    distances, in execution order.
+    ``strategy`` defaults to a PIS search over the environment's index,
+    built with ``params`` (e.g. :data:`ORACLE_VERIFICATION`); ``cold``
+    clears the index caches before every search, so each one pays its full
+    verification cost.  Returns ``(verify_seconds, total_seconds,
+    answers)`` where ``answers`` is a JSON-comparable payload of every
+    search's answer ids and exact distances, in execution order.
     """
-    pis = PISearch(environment.index, environment.database)
+    pis = strategy or PISearch(environment.database, index=environment.index, **params)
     answers = []
     verify_seconds = 0.0
     start = time.perf_counter()
     for _ in range(rounds):
         for query in queries:
             for sigma in sigmas:
+                if cold:
+                    environment.index.clear_caches()
                 result = pis.search(query, sigma)
                 verify_seconds += result.verify_seconds
                 answers.append(
@@ -221,22 +240,22 @@ def _run_searches(environment, queries, sigmas, rounds):
 
 
 def run_verify_workload(environment, name, query_edges, sigmas, rounds):
-    """Measure the verification phase in legacy and optimized mode.
+    """Measure the verification phase: oracle configuration vs default.
 
     The speedup compares summed verify-phase seconds (``legacy`` = the
-    sequential pre-subsystem loop, ``optimized`` = the bounded verifier with
-    ordering, short-circuit, memoized distances, and early exit); the
-    answer ids and distances of every search must be byte-identical.
+    oracle's sequential loop over the recursive search, ``optimized`` = the
+    bounded verifier with ordering, short-circuit, memoized distances,
+    early exit and the array kernel); the answer ids and distances of every
+    search must be byte-identical.
     """
     queries = environment.workload.sample_queries(
         num_edges=query_edges, count=environment.config.queries_per_set
     )
 
     _clear_caches(environment)
-    with optimizations_disabled():
-        legacy_verify, legacy_total, legacy_answers = _run_searches(
-            environment, queries, sigmas, rounds
-        )
+    legacy_verify, legacy_total, legacy_answers = _run_searches(
+        environment, queries, sigmas, rounds, **ORACLE_VERIFICATION
+    )
 
     _clear_caches(environment)
     before = GLOBAL_COUNTERS.snapshot()
@@ -272,15 +291,15 @@ def run_verify_workload(environment, name, query_edges, sigmas, rounds):
 def run_kernel_workload(environment, name, query_edges, sigmas, rounds, num_shards):
     """Measure the array superposition kernel against the recursive search.
 
-    Unlike :func:`run_verify_workload`, **both** sides run cold: every memo
-    cache is disabled, so each side pays its full branch-and-bound cost on
-    every search and the speedup isolates the kernel (plus the bounded
-    verifier it feeds) instead of cache reuse.
+    Unlike :func:`run_verify_workload`, **both** sides run cold: the index
+    caches are cleared before every search, so each side pays its full
+    branch-and-bound cost on every search and the speedup isolates the
+    kernel (plus the bounded verifier it feeds) instead of cache reuse.
 
-    * **legacy** — ``optimizations_disabled()``: the recursive reference
-      search under the sequential pre-subsystem verifier.
-    * **kernel** — ``optimizations_disabled("caches")``: the array kernel
-      under the bounded verifier, no distance/range/fragment memo caches.
+    * **legacy** — the oracle's verification configuration: the recursive
+      reference search under the sequential legacy verifier.
+    * **kernel** — the default configuration: the array kernel under the
+      bounded verifier.
 
     Answer ids and exact distances must be byte-identical, and a 4-shard
     engine running the kernel must scatter-gather to the same answers.
@@ -292,20 +311,18 @@ def run_kernel_workload(environment, name, query_edges, sigmas, rounds, num_shar
     )
 
     _clear_caches(environment)
-    with optimizations_disabled():
-        before = GLOBAL_COUNTERS.snapshot()
-        legacy_verify, legacy_total, legacy_answers = _run_searches(
-            environment, queries, sigmas, rounds
-        )
-        legacy_counters = GLOBAL_COUNTERS.delta(before)
+    before = GLOBAL_COUNTERS.snapshot()
+    legacy_verify, legacy_total, legacy_answers = _run_searches(
+        environment, queries, sigmas, rounds, cold=True, **ORACLE_VERIFICATION
+    )
+    legacy_counters = GLOBAL_COUNTERS.delta(before)
 
     _clear_caches(environment)
-    with optimizations_disabled("caches"):
-        before = GLOBAL_COUNTERS.snapshot()
-        kernel_verify, kernel_total, kernel_answers = _run_searches(
-            environment, queries, sigmas, rounds
-        )
-        kernel_counters = GLOBAL_COUNTERS.delta(before)
+    before = GLOBAL_COUNTERS.snapshot()
+    kernel_verify, kernel_total, kernel_answers = _run_searches(
+        environment, queries, sigmas, rounds, cold=True
+    )
+    kernel_counters = GLOBAL_COUNTERS.delta(before)
 
     identical = legacy_answers == kernel_answers
 
@@ -831,12 +848,9 @@ def run_global_plan_workload(
     (the one global planning pass) across everything that ran, taking
     the best of three paired cold rounds.  With the
     global planner shipping one plan to every shard task, the 4-shard
-    total must stay within ``--max-plan-ratio`` of the single-shard cost;
-    the legacy path — every shard re-planning against its local slice,
-    measured under ``optimizations_disabled("caches")`` on both
-    topologies — is recorded alongside as ``legacy_ratio`` for reference.
-    Answers must be byte-identical across topologies on both paths, and a
-    warm repeat of the planned sharded batch must hit the plan cache.
+    total must stay within ``--max-plan-ratio`` of the single-shard cost.
+    Answers must be byte-identical across topologies, and a warm repeat of
+    the planned sharded batch must hit the plan cache.
     """
     queries = environment.workload.sample_queries(
         num_edges=query_edges, count=num_queries
@@ -905,18 +919,6 @@ def run_global_plan_workload(
     warm_cache_hits = warm_delta.get("plan.cache_hits", 0.0)
     warm_identical = warm_answers == sharded_answers
 
-    # Legacy reference: per-shard local planning (the pre-PR-9 behaviour),
-    # same cache-free footing on both topologies.
-    with optimizations_disabled("caches"):
-        legacy_single_work, legacy_single_answers = _measure(
-            single_engine, environment.index
-        )
-        legacy_sharded_work, legacy_sharded_answers = _measure(
-            sharded_engine, sharded_index
-        )
-    legacy_ratio = legacy_sharded_work / max(legacy_single_work, 1e-9)
-    legacy_identical = legacy_single_answers == legacy_sharded_answers
-
     blob = json.dumps(sharded_answers).encode("utf-8")
     record = {
         "query_edges": query_edges,
@@ -927,61 +929,60 @@ def run_global_plan_workload(
         "single_filter_seconds": round(single_work, 6),
         "sharded_filter_seconds": round(sharded_work, 6),
         "plan_ratio": round(plan_ratio, 3),
-        "legacy_single_filter_seconds": round(legacy_single_work, 6),
-        "legacy_sharded_filter_seconds": round(legacy_sharded_work, 6),
-        "legacy_ratio": round(legacy_ratio, 3),
         "warm_plan_cache_hits": warm_cache_hits,
         "warm_identical": warm_identical,
         "answers_identical": identical,
-        "legacy_answers_identical": legacy_identical,
         "answers_sha256": hashlib.sha256(blob).hexdigest(),
     }
     print(
         f"{name}: 1-shard filter work {single_work:.3f}s, {num_shards}-shard "
-        f"{sharded_work:.3f}s -> {plan_ratio:.2f}x ratio (legacy "
-        f"{legacy_ratio:.2f}x), warm plan hits {warm_cache_hits:.0f}, "
+        f"{sharded_work:.3f}s -> {plan_ratio:.2f}x ratio, "
+        f"warm plan hits {warm_cache_hits:.0f}, "
         f"identical={identical}"
     )
     return record
 
 
 def run_workload(environment, name, query_edges, sigmas, rounds):
-    """Measure one workload in legacy and optimized mode; return its record."""
+    """Count one filtering workload's work and check it against the oracle.
+
+    The filter phase runs cold (every cache cleared first) over ``rounds``
+    passes of the query set; the recorded ``plan.range_queries`` and
+    ``filter.candidates`` counter deltas are exact and hardware-independent.
+    One full search per ``(query, sigma)`` must then answer exactly like
+    the oracle.
+    """
     queries = environment.workload.sample_queries(
         num_edges=query_edges, count=environment.config.queries_per_set
     )
 
     _clear_caches(environment)
-    with optimizations_disabled():
-        legacy_seconds, legacy_candidates = _run_filters(
-            environment, queries, sigmas, rounds
-        )
-
-    _clear_caches(environment)
     before = GLOBAL_COUNTERS.snapshot()
-    optimized_seconds, optimized_candidates = _run_filters(
-        environment, queries, sigmas, rounds
-    )
+    seconds, candidates = _run_filters(environment, queries, sigmas, rounds)
     counters = GLOBAL_COUNTERS.delta(before)
 
-    identical = legacy_candidates == optimized_candidates
-    blob = json.dumps(optimized_candidates).encode("utf-8")
+    _, _, answers = _run_searches(environment, queries, sigmas, 1)
+    oracle = NaiveSearch(
+        environment.database, environment.measure, **ORACLE_VERIFICATION
+    )
+    _, _, oracle_answers = _run_searches(
+        environment, queries, sigmas, 1, strategy=oracle
+    )
+    identical = answers == oracle_answers
+    blob = json.dumps(candidates).encode("utf-8")
     record = {
         "query_edges": query_edges,
         "num_queries": len(queries),
         "sigmas": list(sigmas),
         "rounds": rounds,
-        "legacy_seconds": round(legacy_seconds, 6),
-        "optimized_seconds": round(optimized_seconds, 6),
-        "speedup": round(legacy_seconds / max(optimized_seconds, 1e-9), 3),
-        "candidates_identical": identical,
+        "filter_seconds": round(seconds, 6),
+        "work": {name: int(counters.get(name, 0)) for name in GATED_COUNTERS},
+        "answers_identical": identical,
         "candidates_sha256": hashlib.sha256(blob).hexdigest(),
         "counters": {key: round(value, 6) for key, value in sorted(counters.items())},
     }
-    print(
-        f"{name}: legacy {legacy_seconds:.3f}s, optimized {optimized_seconds:.3f}s "
-        f"-> {record['speedup']:.2f}x speedup, identical={identical}"
-    )
+    work = ", ".join(f"{key}={value}" for key, value in record["work"].items())
+    print(f"{name}: filter {seconds:.3f}s, {work}, oracle-identical={identical}")
     return record
 
 
@@ -1002,16 +1003,10 @@ def main(argv=None) -> int:
         "and a full-mode gate run coexist in one file (e.g. 'gate_full')",
     )
     parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=1.5,
-        help="required optimized/legacy speedup on the pruning-cost workload",
-    )
-    parser.add_argument(
         "--min-verify-speedup",
         type=float,
         default=2.5,
-        help="required optimized/legacy verify-phase speedup on the "
+        help="required default-over-oracle verify-phase speedup on the "
         "verification workload",
     )
     parser.add_argument(
@@ -1062,7 +1057,8 @@ def main(argv=None) -> int:
         "--check-baseline",
         type=Path,
         default=None,
-        help="baseline JSON to gate speedup regressions against",
+        help="baseline JSON to gate speedup regressions and exact work "
+        "counters against",
     )
     parser.add_argument(
         "--tolerance",
@@ -1074,7 +1070,8 @@ def main(argv=None) -> int:
         "--write-baseline",
         type=Path,
         default=None,
-        help="write the measured speedups as a new baseline JSON",
+        help="write the measured speedups and work counters as a new "
+        "baseline JSON",
     )
     arguments = parser.parse_args(argv)
 
@@ -1090,11 +1087,8 @@ def main(argv=None) -> int:
     for name, query_edges, sigmas, rounds in WORKLOADS:
         record = run_workload(environment, name, query_edges, sigmas, rounds)
         gate["workloads"][name] = record
-        if not record["candidates_identical"]:
-            failures.append(
-                f"{name}: optimized candidate sets differ from the "
-                "pre-optimization filter"
-            )
+        if not record["answers_identical"]:
+            failures.append(f"{name}: PIS answers differ from the oracle")
 
     verify_name, verify_edges, verify_sigmas, verify_rounds = VERIFY_WORKLOAD
     verify_record = run_verify_workload(
@@ -1103,8 +1097,8 @@ def main(argv=None) -> int:
     gate["workloads"][verify_name] = verify_record
     if not verify_record["answers_identical"]:
         failures.append(
-            f"{verify_name}: optimized answer ids/distances differ from the "
-            "legacy verifier"
+            f"{verify_name}: default answer ids/distances differ from the "
+            "oracle verification configuration"
         )
     if verify_record["speedup"] < arguments.min_verify_speedup:
         failures.append(
@@ -1295,11 +1289,6 @@ def main(argv=None) -> int:
             f"{plan_name}: planned sharded answers differ from the "
             "single-shard engine"
         )
-    if not plan_record["legacy_answers_identical"]:
-        failures.append(
-            f"{plan_name}: legacy per-shard-planning answers differ from the "
-            "single-shard engine"
-        )
     if not plan_record["warm_identical"]:
         failures.append(
             f"{plan_name}: warm (plan-cached) repeat answered differently"
@@ -1312,15 +1301,7 @@ def main(argv=None) -> int:
         failures.append(
             f"{plan_name}: 4-shard filter work is "
             f"{plan_record['plan_ratio']:.2f}x the single-shard cost, above "
-            f"the allowed {arguments.max_plan_ratio:.2f}x (legacy path: "
-            f"{plan_record['legacy_ratio']:.2f}x)"
-        )
-
-    pruning = gate["workloads"]["pruning_cost"]
-    if pruning["speedup"] < arguments.min_speedup:
-        failures.append(
-            f"pruning_cost speedup {pruning['speedup']:.2f}x is below the "
-            f"required {arguments.min_speedup:.2f}x"
+            f"the allowed {arguments.max_plan_ratio:.2f}x"
         )
 
     if arguments.check_baseline is not None:
@@ -1330,6 +1311,14 @@ def main(argv=None) -> int:
             failures.append(f"cannot read baseline {arguments.check_baseline}: {exc}")
             baseline = {}
         for name, entry in baseline.get("workloads", {}).items():
+            if "work" in entry:
+                measured_work = gate["workloads"].get(name, {}).get("work")
+                if measured_work != entry["work"]:
+                    failures.append(
+                        f"{name}: work counters {measured_work} differ from "
+                        f"the baseline {entry['work']}"
+                    )
+                continue
             expected = float(entry.get("speedup", 0.0))
             measured = gate["workloads"].get(name, {}).get("speedup")
             if measured is None:
@@ -1360,10 +1349,15 @@ def main(argv=None) -> int:
             "version": 1,
             "mode": gate["mode"],
             "workloads": {
-                name: {"speedup": record["speedup"]}
+                name: (
+                    {"work": record["work"]}
+                    if "work" in record
+                    else {"speedup": record["speedup"]}
+                )
                 for name, record in gate["workloads"].items()
-                if "speedup" in record  # serving_mixed gates invariants,
-                # not a speedup, so it carries no baseline entry
+                if "work" in record or "speedup" in record
+                # serving_mixed gates invariants, not a speedup, so it
+                # carries no baseline entry
             },
         }
         arguments.write_baseline.write_text(

@@ -16,6 +16,7 @@ setup(
         "with superimposed distance, ICDE 2006 reproduction"
     ),
     python_requires=">=3.9",
+    install_requires=["numpy"],
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     entry_points={

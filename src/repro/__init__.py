@@ -90,8 +90,6 @@ from .perf import (
     GLOBAL_COUNTERS,
     MemoCache,
     PerfCounters,
-    optimizations_disabled,
-    optimizations_enabled,
 )
 from .exec import (
     available_executors,
@@ -152,8 +150,6 @@ __all__ = [
     "PerfCounters",
     "MemoCache",
     "GLOBAL_COUNTERS",
-    "optimizations_enabled",
-    "optimizations_disabled",
     # registries
     "register_selector",
     "make_selector",

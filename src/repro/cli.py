@@ -206,10 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         choices=("auto", "array", "legacy"),
         default=None,
-        help="superposition search kernel: 'array' forces the vectorized "
-        "kernel, 'legacy' the recursive reference search, 'auto' follows "
-        "the global optimization flags; answers are byte-identical either "
-        "way (overrides the engine config)",
+        help="superposition search kernel: 'auto' and 'array' use the "
+        "vectorized kernel, 'legacy' the recursive reference search; "
+        "answers are byte-identical either way (overrides the engine "
+        "config)",
     )
     query.add_argument(
         "--compare-naive",

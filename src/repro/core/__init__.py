@@ -13,6 +13,7 @@ from .errors import (
     IncompatibleGraphsError,
     IndexError_,
     IndexNotBuiltError,
+    InvalidSigmaError,
     PartitionError,
     PISError,
     SerializationError,
@@ -80,6 +81,7 @@ __all__ = [
     "SerializationError",
     "EngineError",
     "EngineConfigError",
+    "InvalidSigmaError",
     "UnknownComponentError",
     # graph
     "LabeledGraph",

@@ -35,14 +35,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from .errors import DistanceError
 from .graph import LabeledGraph
 from .isomorphism import Embedding
-
-try:  # numpy is optional: the kernel falls back to the recursive search
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 __all__ = [
     "MutationScoreMatrix",
@@ -192,11 +189,9 @@ class DistanceMeasure:
         relies on this to stay byte-identical to the recursive path.  The
         generic implementation evaluates the scalar hook per cell, so any
         third-party measure is automatically kernel-compatible; subclasses
-        override it with batched computation.  Returns ``None`` when numpy
-        is unavailable, which disables the kernel for this measure.
+        override it with batched computation.  An override may return
+        ``None`` to keep the kernel off for this measure.
         """
-        if _np is None:
-            return None
         table = _np.empty(
             (len(query_vertices), len(target_vertices)), dtype=_np.float64
         )
@@ -216,11 +211,8 @@ class DistanceMeasure:
 
         Entry ``[i, j]`` must equal ``edge_cost(query, query_edges[i],
         target, target_edges[j])`` exactly, mirroring
-        :meth:`vertex_cost_matrix`.  Returns ``None`` when numpy is
-        unavailable.
+        :meth:`vertex_cost_matrix`.
         """
-        if _np is None:
-            return None
         table = _np.empty((len(query_edges), len(target_edges)), dtype=_np.float64)
         for i, qe in enumerate(query_edges):
             for j, te in enumerate(target_edges):
@@ -392,8 +384,6 @@ class MutationDistance(DistanceMeasure):
             return [graph.edge_label(*e) for e in edges]
 
     def vertex_cost_matrix(self, query, query_vertices, target, target_vertices):
-        if _np is None:
-            return None
         query_labels = query.vertex_labels()
         target_labels = target.vertex_labels()
         return self._label_cost_table(
@@ -402,8 +392,6 @@ class MutationDistance(DistanceMeasure):
         )
 
     def edge_cost_table(self, query, query_edges, target, target_edges):
-        if _np is None:
-            return None
         return self._label_cost_table(
             self._edge_label_list(query, query_edges),
             self._edge_label_list(target, target_edges),
@@ -446,8 +434,6 @@ class LinearMutationDistance(DistanceMeasure):
         return abs(query.edge_weight(*query_edge) - target.edge_weight(*target_edge))
 
     def vertex_cost_matrix(self, query, query_vertices, target, target_vertices):
-        if _np is None:
-            return None
         q = _np.array(
             [query.vertex_weight(v) for v in query_vertices], dtype=_np.float64
         )
@@ -457,8 +443,6 @@ class LinearMutationDistance(DistanceMeasure):
         return _np.abs(q[:, None] - t[None, :])
 
     def edge_cost_table(self, query, query_edges, target, target_edges):
-        if _np is None:
-            return None
         q = _np.array([query.edge_weight(*e) for e in query_edges], dtype=_np.float64)
         t = _np.array([target.edge_weight(*e) for e in target_edges], dtype=_np.float64)
         return _np.abs(q[:, None] - t[None, :])

@@ -24,6 +24,7 @@ __all__ = [
     "SerializationError",
     "EngineError",
     "EngineConfigError",
+    "InvalidSigmaError",
     "UnknownComponentError",
     "ServeError",
     "ServeOverloadedError",
@@ -118,6 +119,16 @@ class EngineError(PISError):
 
 class EngineConfigError(EngineError, ValueError):
     """An engine configuration is malformed or inconsistent."""
+
+
+class InvalidSigmaError(EngineError, ValueError):
+    """A search threshold is NaN.
+
+    No distance compares with NaN, so such a query would silently answer
+    nothing.  Every other float is a defined threshold: a negative sigma
+    answers no graph (superimposed distances are non-negative) and
+    ``inf`` answers every live graph.
+    """
 
 
 class ServeError(EngineError):

@@ -40,9 +40,9 @@ order (vertex cost first, then charged edges in ``query.edges()`` order,
 each as one float64 add), so every complete superposition gets the exact
 same binary cost on both paths and the minimum is bit-identical.
 
-When numpy is unavailable, a measure cannot produce cost tables, or the
-target is too large for the dense edge-id matrix, the public entry point
-returns ``None`` and the caller falls back to the recursive search.
+When a measure cannot produce cost tables, or the target is too large for
+the dense edge-id matrix, the public entry point returns ``None`` and the
+caller falls back to the recursive search.
 """
 
 from __future__ import annotations
@@ -50,20 +50,16 @@ from __future__ import annotations
 import weakref
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from .graph import LabeledGraph
 from .isomorphism import Embedding, _match_order
-
-try:  # numpy is optional: without it the legacy recursive path is used
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 __all__ = [
     "GraphArrays",
     "QueryPlan",
     "graph_arrays",
     "query_plan",
-    "kernel_available",
     "kernel_best_superposition",
     "MAX_KERNEL_VERTICES",
 ]
@@ -200,11 +196,6 @@ class QueryPlan:
         self.charged_edges = charged
 
 
-def kernel_available() -> bool:
-    """Return ``True`` if the array kernel can run at all (numpy present)."""
-    return _np is not None
-
-
 def _cache_slot(graph: LabeledGraph) -> Dict[str, Any]:
     """Per-revision cache dict stored on the graph (cleared by mutations)."""
     cached = graph._kernel_arrays
@@ -217,11 +208,9 @@ def _cache_slot(graph: LabeledGraph) -> Dict[str, Any]:
 def graph_arrays(graph: LabeledGraph) -> Optional[GraphArrays]:
     """Return the cached :class:`GraphArrays` encoding of ``graph``.
 
-    Returns ``None`` (and caches the refusal) when numpy is missing or the
-    graph exceeds :data:`MAX_KERNEL_VERTICES`.
+    Returns ``None`` (and caches the refusal) when the graph exceeds
+    :data:`MAX_KERNEL_VERTICES`.
     """
-    if _np is None:
-        return None
     slot = _cache_slot(graph)
     if "arrays" not in slot:
         if graph.num_vertices > MAX_KERNEL_VERTICES:
@@ -231,10 +220,8 @@ def graph_arrays(graph: LabeledGraph) -> Optional[GraphArrays]:
     return slot["arrays"]
 
 
-def query_plan(query: LabeledGraph) -> Optional[QueryPlan]:
+def query_plan(query: LabeledGraph) -> QueryPlan:
     """Return the cached :class:`QueryPlan` for ``query``."""
-    if _np is None:
-        return None
     slot = _cache_slot(query)
     if "plan" not in slot:
         slot["plan"] = QueryPlan(query)
@@ -359,18 +346,13 @@ def kernel_best_superposition(
 
     Assumes the caller already handled the trivial cases (empty query,
     size-based non-containment).  Returns ``None`` when the kernel cannot
-    run for this input (numpy missing, oversized target, or a measure whose
-    cost tables are unavailable); the caller then falls back to the
-    recursive path.
+    run for this input (oversized target, or a measure whose cost tables
+    are unavailable); the caller then falls back to the recursive path.
     """
-    if _np is None:
-        return None
     arrays = graph_arrays(target)
     if arrays is None:
         return None
     plan = query_plan(query)
-    if plan is None:
-        return None
     # Imported here (not at module top) because superimposed imports us
     # lazily; this import is resolved from sys.modules after first use.
     from .superimposed import INFINITE_DISTANCE, SuperpositionResult

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..perf import optimizations_enabled
 from .distance import DistanceMeasure
 from .graph import LabeledGraph
 from .isomorphism import Embedding, _match_order
@@ -89,7 +88,7 @@ def best_superposition(
     threshold: Optional[float] = None,
     stop_at_threshold: bool = False,
     known_lower_bound: Optional[float] = None,
-    use_kernel: Optional[bool] = None,
+    use_kernel: bool = True,
 ) -> SuperpositionResult:
     """Find the superposition of ``query`` in ``target`` with minimum cost.
 
@@ -117,12 +116,11 @@ def best_superposition(
         exact.  Passing a value that is *not* a true lower bound can make
         the result an upper bound instead of the minimum.
     use_kernel:
-        ``True`` forces the array kernel of :mod:`repro.core.kernel`,
-        ``False`` forces the legacy recursive search, ``None`` (default)
-        follows the global ``"kernel"`` optimization flag.  The kernel is
-        byte-identical in distances; when it cannot run (numpy missing,
-        oversized target, measure without cost tables) the recursive path
-        is used regardless.
+        ``True`` (default) runs the array kernel of
+        :mod:`repro.core.kernel`; ``False`` runs the recursive reference
+        search, the verification oracle.  The kernel is byte-identical in
+        distances; when it cannot run (oversized target, measure without
+        cost tables) the recursive path is used regardless.
 
     Returns
     -------
@@ -139,8 +137,6 @@ def best_superposition(
     ):
         return SuperpositionResult(distance=INFINITE_DISTANCE, embedding=None)
 
-    if use_kernel is None:
-        use_kernel = optimizations_enabled("kernel")
     if use_kernel:
         from . import kernel as _kernel  # lazy: kernel imports our result type
 
@@ -275,7 +271,7 @@ def minimum_superimposed_distance(
     target: LabeledGraph,
     measure: DistanceMeasure,
     threshold: Optional[float] = None,
-    use_kernel: Optional[bool] = None,
+    use_kernel: bool = True,
 ) -> float:
     """Return ``d(query, target)`` under ``measure`` (Definition 1).
 
@@ -292,7 +288,7 @@ def within_distance(
     target: LabeledGraph,
     measure: DistanceMeasure,
     sigma: float,
-    use_kernel: Optional[bool] = None,
+    use_kernel: bool = True,
 ) -> bool:
     """Return ``True`` if ``d(query, target) <= sigma`` (verification test)."""
     result = best_superposition(
@@ -310,7 +306,7 @@ def graph_pair_distance(
     a: LabeledGraph,
     b: LabeledGraph,
     measure: DistanceMeasure,
-    use_kernel: Optional[bool] = None,
+    use_kernel: bool = True,
 ) -> float:
     """Distance between two graphs with identical structure, ``d(a, b)``.
 

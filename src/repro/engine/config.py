@@ -71,12 +71,10 @@ remove_graphs` (see :mod:`repro.index.backends`).  ``None`` keeps each
         worker processes for real CPU parallelism.
     kernel:
         Superposition search kernel used during verification: ``"auto"``
-        (the default — use the array kernel of :mod:`repro.core.kernel`
-        whenever the global ``"kernel"`` optimization flag is on and numpy
-        is available), ``"array"`` (always use the array kernel when it
-        can run), or ``"legacy"`` (always use the recursive reference
-        search).  Both kernels return byte-identical distances and
-        answers; the knob exists for benchmarking and fallback.
+        (the default) and ``"array"`` both use the array kernel of
+        :mod:`repro.core.kernel` wherever it can run; ``"legacy"`` uses the
+        recursive reference search, the verification oracle.  Both
+        kernels return byte-identical distances and answers.
     shards:
         Number of database shards (default ``1`` = the classic unsharded
         engine).  With ``shards > 1``, :meth:`repro.engine.Engine.build`
@@ -103,8 +101,7 @@ start`); ``0`` disables it even there.  Entries are keyed by query
         (:class:`repro.search.GlobalPlanner`), in plans.  Plans are keyed
         by query content, sigma, the cutoff factor, and the index
         generation, so mutations invalidate without clearing; unlike the
-        result cache the plan cache is always active (planning itself is
-        gated on the ``"caches"`` optimization flag).  ``0`` keeps the
+        result cache the plan cache is always active.  ``0`` keeps the
         plan/execute split but stores nothing.
     serve_batch_window_ms:
         Default micro-batching window of :class:`repro.serve.QueryServer`:

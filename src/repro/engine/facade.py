@@ -37,6 +37,7 @@ from ..core.distance import DistanceMeasure
 from ..core.errors import (
     EngineConfigError,
     EngineError,
+    InvalidSigmaError,
     SerializationError,
     WalError,
 )
@@ -55,7 +56,6 @@ from ..index.sharded import (
     merge_search_results,
 )
 from ..mining.registry import make_selector
-from .. import perf
 from ..perf import PerfCounters
 from ..core.canonical import structure_code_cache
 from ..search.planner import GlobalPlanner, QueryPlan
@@ -167,6 +167,12 @@ def _database_fingerprint(database: GraphDatabase) -> Dict[str, int]:
     }
 
 
+def _check_sigma(sigma: float) -> None:
+    """Reject a NaN threshold (see :class:`InvalidSigmaError`)."""
+    if sigma != sigma:  # NaN is the only value unequal to itself
+        raise InvalidSigmaError(f"sigma must be a number, got {sigma!r}")
+
+
 def _search_chunk(payload: Tuple) -> List[SearchResult]:
     """Process-executor task: answer a slice of the batch on a pickled engine."""
     engine, queries, sigma, verify_workers = payload
@@ -194,11 +200,7 @@ def _filter_only_search(
     if hasattr(strategy, "filter_candidates"):
         # Keep the strategy's full pruning report — filter-only mode
         # exists precisely to study it.
-        outcome = (
-            strategy.filter_candidates(query, sigma, plan=plan)
-            if plan is not None
-            else strategy.filter_candidates(query, sigma)
-        )
+        outcome = strategy.filter_candidates(query, sigma, plan=plan)
         candidate_ids = outcome.candidate_ids
         report = outcome.report
     else:
@@ -603,15 +605,6 @@ class Engine:
         except Exception:
             return False
 
-    def _plans_enabled(self) -> bool:
-        """Whether searches should run through precomputed global plans.
-
-        Planning rides the ``"caches"`` optimization flag:
-        ``optimizations_disabled()`` exercises the legacy per-shard
-        plan-locally path the equivalence tests compare against.
-        """
-        return perf.optimizations_enabled("caches") and self._supports_planning()
-
     def _global_database_size(self) -> int:
         """The global live-graph count ``n`` used as the selectivity
         denominator — never any shard-local size."""
@@ -620,9 +613,10 @@ class Engine:
     def plan_queries(
         self, queries: Sequence[LabeledGraph], sigma: float
     ) -> Optional[List[QueryPlan]]:
-        """Plan each query once (cache-served), or ``None`` when planning
-        is off.  The scatter path ships these to every shard task."""
-        if not self._plans_enabled():
+        """Plan each query once (cache-served), or ``None`` when the
+        strategy does not plan.  The scatter path ships these to every
+        shard task."""
+        if not self._supports_planning():
             return None
         planner = self._ensure_planner()
         num_graphs = self._global_database_size()
@@ -639,9 +633,9 @@ class Engine:
         """Pre-populate the query-side caches for an expected workload.
 
         Enumerates each query's fragments into the fragment memo (on a
-        sharded index this seeds every shard) and — when planning is on —
-        plans each ``(query, sigma)`` pair, which also warms the range and
-        global-statistics caches the plans touch.  ``pis serve --warm``
+        sharded index this seeds every shard) and — when the strategy
+        plans — plans each ``(query, sigma)`` pair, which also warms the
+        range caches the plans touch.  ``pis serve --warm``
         calls this on startup so the first real queries hit warm caches.
 
         Returns ``{"queries": ..., "plans": ...}`` counts for reporting.
@@ -653,7 +647,7 @@ class Engine:
             for query in queries:
                 self.index.enumerate_query_fragments(query)
         planned = 0
-        if self._plans_enabled() and sigmas:
+        if self._supports_planning() and sigmas:
             planner = self._ensure_planner()
             num_graphs = self._global_database_size()
             for sigma in sigmas:
@@ -671,7 +665,7 @@ class Engine:
         ``pis explain`` CLI command.
         """
         plan = None
-        if self._plans_enabled():
+        if self._supports_planning():
             plan = self._ensure_planner().plan(
                 query, sigma, num_graphs=self._global_database_size()
             )
@@ -908,12 +902,9 @@ class Engine:
         measure of branch-and-bound pruning power (the array kernel's
         suffix bounds expand fewer nodes for the same answers).
         """
-        from ..core import kernel as _kernel
-
         snapshot = self._merged_counters().as_dict()
         return {
             "kernel": self.config.kernel,
-            "kernel_available": _kernel.kernel_available(),
             "candidates": snapshot.get("verify.candidates", 0),
             "superpositions_explored": snapshot.get(
                 "verify.superpositions_explored", 0
@@ -954,8 +945,8 @@ class Engine:
 
         Each graph is appended to the database (``reuse_ids=True`` reclaims
         retired identifiers first, lowest first) and incrementally indexed
-        — equivalence classes, occurrence counts, and posting-list bitsets
-        update in place, and the affected memo caches are invalidated, so
+        — equivalence classes, occurrence counts, and posting lists update
+        in place, and the affected memo caches are invalidated, so
         subsequent searches answer exactly as a from-scratch rebuild over
         the grown database would.
 
@@ -1272,7 +1263,13 @@ class Engine:
             a repeated query is answered from the result cache
             (``result.from_cache`` is set), byte-identically to a fresh
             search against the current index generation.
+
+        Raises
+        ------
+        InvalidSigmaError
+            If ``sigma`` is NaN.
         """
+        _check_sigma(sigma)
         key = self._cache_key(query, sigma)
         if key is not None:
             cached = self._result_cache.get(key)
@@ -1344,7 +1341,13 @@ class Engine:
         -------
         BatchSearchResult
             Per-query results in input order plus batch-level timing.
+
+        Raises
+        ------
+        InvalidSigmaError
+            If ``sigma`` is NaN.
         """
+        _check_sigma(sigma)
         queries = list(queries)
         if self.is_sharded:
             executor_name = executor or self.config.executor

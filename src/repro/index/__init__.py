@@ -7,14 +7,8 @@ from .backends import (
     make_backend,
     register_backend,
 )
-from .bitset import bit_count, bits_from_ids, full_mask, ids_from_bits
 from .class_index import EquivalenceClassIndex
-from .fragment_index import (
-    FragmentIndex,
-    FragmentStatistics,
-    IndexStats,
-    QueryFragment,
-)
+from .fragment_index import FragmentIndex, IndexStats, QueryFragment
 from .persistence import (
     index_from_dict,
     index_to_dict,
@@ -48,7 +42,6 @@ __all__ = [
     "FragmentSequencer",
     "EquivalenceClassIndex",
     "FragmentIndex",
-    "FragmentStatistics",
     "QueryFragment",
     "IndexStats",
     "ShardedFragmentIndex",
@@ -62,8 +55,4 @@ __all__ = [
     "load_index",
     "measure_to_dict",
     "measure_from_dict",
-    "bits_from_ids",
-    "ids_from_bits",
-    "bit_count",
-    "full_mask",
 ]

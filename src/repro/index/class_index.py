@@ -14,37 +14,26 @@ class within distance sigma of a query fragment, and at what minimum
 distance?*  It also tracks which database graphs contain the structure at
 all, which is what topoPrune and the structure-violation rule use.
 
-Two hot-path optimizations live here:
-
-* the containing-graph set is additionally maintained as a big-int bitset
-  posting list (bit ``i`` set for graph ``i``), so candidate intersections
-  are single bitwise ANDs (:mod:`repro.index.bitset`);
-* for vectorizable measures (linear mutation distance) every inserted
-  sequence is also kept in a flat pre-vectorized array, and range queries
-  run as one vectorized L1 scan over that array (numpy when available)
-  instead of a per-entry Python loop.
+For vectorizable measures (linear mutation distance) every inserted
+sequence is also kept in a flat pre-vectorized array, and range queries run
+as one numpy L1 scan over that array instead of a per-entry Python loop.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
+import numpy as _np
+
 from ..core.canonical import CanonicalCode
 from ..core.distance import DistanceMeasure
 from ..core.graph import LabeledGraph
-from .. import perf
 from .backends import ClassIndexBackend, make_backend
-from .bitset import bits_from_ids, supported_id
 from .sequence import FragmentSequencer
 
 __all__ = ["EquivalenceClassIndex"]
 
 AnnotationSequence = Tuple[Any, ...]
-
-try:  # numpy is optional: the vectorized scan falls back to pure Python
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 #: Below this many stored vectors the scalar loop beats the numpy pass —
 #: array construction and ufunc dispatch cost more than the whole scan.
@@ -98,7 +87,7 @@ class _VectorStore:
         results: Dict[int, float] = {}
         if not self._vectors:
             return results
-        if _np is not None and len(self._vectors) > _SCALAR_SCAN_MAX:
+        if len(self._vectors) > _SCALAR_SCAN_MAX:
             if self._matrix is None:
                 self._matrix = _np.asarray(self._vectors, dtype=float)
             distances = _np.abs(self._matrix - _np.asarray(point, dtype=float)).sum(
@@ -137,11 +126,8 @@ class EquivalenceClassIndex:
         self.backend: ClassIndexBackend = make_backend(
             backend, measure, **(backend_options or {})
         )
-        # graphs that contain at least one occurrence of this structure,
-        # kept both as a set (public API) and as a bitset posting list
+        # graphs that contain at least one occurrence of this structure
         self._containing_graphs: Set[int] = set()
-        self._containing_bits = 0
-        self._bits_ok = True
         self._num_occurrences = 0
         # per-graph occurrence counts, so removing a graph can return the
         # class totals to exactly what a build without it would report
@@ -157,17 +143,6 @@ class EquivalenceClassIndex:
     def skeleton(self) -> LabeledGraph:
         """Canonical skeleton of the class (vertices are DFS indices)."""
         return self.sequencer.skeleton
-
-    def _record_graph(self, graph_id: int) -> None:
-        self._containing_graphs.add(graph_id)
-        if self._bits_ok:
-            if supported_id(graph_id):
-                self._containing_bits |= 1 << graph_id
-            else:
-                # Non-contiguous / non-int ids: bitsets no longer represent
-                # this class, so strategies must use the set path.
-                self._bits_ok = False
-                self._containing_bits = 0
 
     def _store(self, sequence: AnnotationSequence, graph_id: int) -> None:
         self.backend.insert(sequence, graph_id)
@@ -198,7 +173,7 @@ class EquivalenceClassIndex:
         for sequence in sequences:
             self._store(sequence, graph_id)
         if sequences:
-            self._record_graph(graph_id)
+            self._containing_graphs.add(graph_id)
             self._num_occurrences += len(sequences)
             self._occurrences_by_graph[graph_id] = (
                 self._occurrences_by_graph.get(graph_id, 0) + len(sequences)
@@ -208,7 +183,7 @@ class EquivalenceClassIndex:
     def insert_sequence(self, sequence: AnnotationSequence, graph_id: int) -> None:
         """Insert a pre-computed occurrence sequence (used when loading)."""
         self._store(tuple(sequence), graph_id)
-        self._record_graph(graph_id)
+        self._containing_graphs.add(graph_id)
         self._num_occurrences += 1
         self._occurrences_by_graph[graph_id] = (
             self._occurrences_by_graph.get(graph_id, 0) + 1
@@ -217,8 +192,8 @@ class EquivalenceClassIndex:
     def remove_graph(self, graph_id: int) -> int:
         """Remove every indexed occurrence of ``graph_id`` from this class.
 
-        Updates the backend, the containing-graph set and bitset posting
-        list, the vectorized scan arrays, and the occurrence counts.
+        Updates the backend, the containing-graph set, the vectorized scan
+        arrays, and the occurrence counts.
         Returns the number of distinct backend entries removed (0 if the
         graph never contained this structure).
         """
@@ -226,8 +201,6 @@ class EquivalenceClassIndex:
             return 0
         removed = self.backend.delete(graph_id)
         self._containing_graphs.discard(graph_id)
-        if self._bits_ok and supported_id(graph_id):
-            self._containing_bits &= ~(1 << graph_id)
         if self._vector_store is not None:
             self._vector_store.remove(graph_id)
         per_graph_total = sum(self._occurrences_by_graph.values())
@@ -267,10 +240,9 @@ class EquivalenceClassIndex:
         distance to the query fragment — reported only when ``<= sigma``.
 
         For vectorizable measures the scan runs over the pre-vectorized
-        annotation arrays (one vectorized pass) unless the ``"vectorized"``
-        optimization flag is off.
+        annotation arrays (one vectorized pass).
         """
-        if self._vector_store is not None and perf.optimizations_enabled("vectorized"):
+        if self._vector_store is not None:
             return self._vector_store.range_query(
                 self.measure.vectorize(tuple(sequence)), sigma
             )
@@ -279,28 +251,6 @@ class EquivalenceClassIndex:
     def containing_graphs(self) -> Set[int]:
         """Graphs containing at least one occurrence of the structure."""
         return set(self._containing_graphs)
-
-    @property
-    def supports_bitsets(self) -> bool:
-        """Whether every indexed graph id fits the bitset representation."""
-        return self._bits_ok
-
-    @property
-    def containing_bits(self) -> int:
-        """Bitset posting list of the containing graphs.
-
-        Only meaningful when :attr:`supports_bitsets` is true; computed
-        incrementally on insert, so reading it is O(1).
-        """
-        if not self._bits_ok:
-            # Defensive: rebuild from the set so callers that ignore the
-            # flag still get a correct (if partial-id) answer.
-            return bits_from_ids(
-                graph_id
-                for graph_id in self._containing_graphs
-                if supported_id(graph_id)
-            )
-        return self._containing_bits
 
     @property
     def num_containing_graphs(self) -> int:

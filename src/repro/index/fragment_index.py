@@ -18,8 +18,7 @@ indexed fragment inside a query graph; the partition-based search then picks
 a vertex-disjoint subset of them and combines their per-class range queries
 into the lower bound of Eq. (2).
 
-Performance machinery (all honouring the global optimization flags in
-:mod:`repro.perf`):
+Performance machinery:
 
 * every index owns a :class:`~repro.perf.PerfCounters` instance shared with
   the strategies built over it;
@@ -31,8 +30,8 @@ Performance machinery (all honouring the global optimization flags in
   (``workers=N``), producing an index byte-identical to the serial build.
 
 The index is *dynamic*: :meth:`add_graph` / :meth:`remove_graph` update the
-equivalence classes, per-class occurrence counts, and posting-list bitsets
-in place — removed ids are retired (never silently renumbered) and every
+equivalence classes, per-class occurrence counts, and posting lists in
+place — removed ids are retired (never silently renumbered) and every
 mutation bumps the :attr:`generation` counter and invalidates the affected
 memo caches, so searches against a mutated index answer exactly as a
 from-scratch rebuild over the same final database would.
@@ -40,7 +39,6 @@ from-scratch rebuild over the same final database would.
 
 from __future__ import annotations
 
-import math
 import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
@@ -50,14 +48,12 @@ from ..core.database import GraphDatabase
 from ..core.distance import DistanceMeasure
 from ..core.errors import FeatureNotIndexedError, IndexError_, IndexNotBuiltError
 from ..core.graph import LabeledGraph, edge_key
-from .. import perf
 from ..perf import GLOBAL_COUNTERS, MemoCache, PerfCounters, graph_signature
 from ..store.epoch import EpochManager
-from .bitset import bits_from_ids
 from .class_index import EquivalenceClassIndex
 from .sequence import FragmentSequencer
 
-__all__ = ["FragmentIndex", "FragmentStatistics", "QueryFragment", "IndexStats"]
+__all__ = ["FragmentIndex", "QueryFragment", "IndexStats"]
 
 AnnotationSequence = Tuple[Any, ...]
 EdgeKey = Tuple[Hashable, Hashable]
@@ -99,31 +95,6 @@ class QueryFragment:
     def overlaps(self, other: "QueryFragment") -> bool:
         """Vertex-overlap test used by the overlapping-relation graph."""
         return bool(self.vertices & other.vertices)
-
-
-@dataclass(frozen=True)
-class FragmentStatistics:
-    """Aggregated range-result statistics of one fragment at one threshold.
-
-    The pair ``(|T|, sum of matched distances)`` is all a selectivity
-    estimate needs (Definition 5): shards report these instead of full
-    distance maps, and the global planner merges them by summing.  The sum
-    is exactly rounded (:func:`math.fsum`), so merged statistics are
-    bit-identical regardless of how the database is sharded.
-    """
-
-    num_matching_graphs: int
-    matched_distance_sum: float
-
-    def merge(self, other: "FragmentStatistics") -> "FragmentStatistics":
-        """Combine statistics from two disjoint database partitions."""
-        return FragmentStatistics(
-            num_matching_graphs=self.num_matching_graphs
-            + other.num_matching_graphs,
-            matched_distance_sum=math.fsum(
-                (self.matched_distance_sum, other.matched_distance_sum)
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -315,8 +286,7 @@ class FragmentIndex:
         subgraph-embedding search per class and graph) out over a process
         pool; insertions are replayed in database order, so the resulting
         index is identical to a serial build.  Falls back to the serial path
-        if a worker pool cannot be created or the ``"parallel"``
-        optimization flag is off.
+        if a worker pool cannot be created.
 
         Returns ``self`` so construction can be chained.
         """
@@ -331,12 +301,7 @@ class FragmentIndex:
             pool_size = int(workers or 0)
             generation_before = self._generation
             with self.counters.timer("index_build"):
-                if (
-                    pool_size > 1
-                    and len(database) > 1
-                    and self._classes
-                    and perf.optimizations_enabled("parallel")
-                ):
+                if pool_size > 1 and len(database) > 1 and self._classes:
                     self._build_parallel(database, pool_size)
                 else:
                     for graph_id, graph in database.items():
@@ -490,8 +455,8 @@ class FragmentIndex:
     def remove_graph(self, graph_id: int) -> int:
         """Remove one graph from every equivalence class.
 
-        Posting-list bitsets, occurrence counts, vectorized scan arrays,
-        and backend entries are updated in place; the id is retired (it
+        Posting lists, occurrence counts, vectorized scan arrays, and
+        backend entries are updated in place; the id is retired (it
         stays out of candidate fallbacks until explicitly re-added).  All
         memo caches — including the exact-distance cache, whose entries
         describe the graph being removed — are invalidated.
@@ -569,13 +534,6 @@ class FragmentIndex:
         """Number of structural equivalence classes."""
         return len(self._classes)
 
-    @property
-    def supports_bitsets(self) -> bool:
-        """Whether every per-class posting list has a valid bitset."""
-        return all(
-            class_index.supports_bitsets for class_index in self._classes.values()
-        )
-
     def codes(self) -> Iterator[CanonicalCode]:
         """Iterate over the canonical codes of the indexed classes."""
         return iter(self._classes)
@@ -643,13 +601,10 @@ class FragmentIndex:
             raise IndexNotBuiltError(
                 "the fragment index must be built before enumerating query fragments"
             )
-        # Skip even the signature computation when caches are off, so the
-        # legacy path measured by the benchmark gate stays cache-free.
-        key = graph_signature(query) if perf.optimizations_enabled("caches") else None
-        if key is not None:
-            cached = self._fragment_cache.get(key)
-            if cached is not MemoCache.MISS:
-                return list(cached)
+        key = graph_signature(query)
+        cached = self._fragment_cache.get(key)
+        if cached is not MemoCache.MISS:
+            return list(cached)
         with self.counters.timer("enumerate_query_fragments"):
             fragments: Dict[Tuple[CanonicalCode, FrozenSet[EdgeKey]], QueryFragment] = {}
             for code, class_index in self._classes.items():
@@ -677,12 +632,10 @@ class FragmentIndex:
                     )
         result = list(fragments.values())
         self.counters.increment("query_fragments.enumerated", len(result))
-        if key is not None:
-            # Return a copy, never the cached list itself: a caller mutating
-            # its fragment list must not corrupt later cache hits.
-            self._fragment_cache.put(key, result)
-            return list(result)
-        return result
+        # Return a copy, never the cached list itself: a caller mutating its
+        # fragment list must not corrupt later cache hits.
+        self._fragment_cache.put(key, result)
+        return list(result)
 
     def prewarm_query_fragments(
         self, query: LabeledGraph, fragments: List[QueryFragment]
@@ -693,11 +646,8 @@ class FragmentIndex:
         share one feature set, so the result is shard-independent — and
         seeds every shard's cache with it, so scatter-gather search never
         repeats the per-shard subgraph enumeration.  The cached list must
-        be exactly what :meth:`enumerate_query_fragments` would compute;
-        no-op while the ``"caches"`` optimization flag is off.
+        be exactly what :meth:`enumerate_query_fragments` would compute.
         """
-        if not perf.optimizations_enabled("caches"):
-            return
         self._fragment_cache.put(graph_signature(query), list(fragments))
 
     def range_query(
@@ -705,61 +655,29 @@ class FragmentIndex:
     ) -> Dict[int, float]:
         """Range query for one query fragment: ``{graph_id: min distance}``.
 
-        The returned mapping may be shared with the memo cache — treat it as
-        read-only.
+        Memoized per ``(class, sequence, sigma)``; the returned mapping may
+        be shared with the memo cache — treat it as read-only.
         """
-        distances, _ = self.range_query_with_bits(fragment, sigma, want_bits=False)
-        return distances
+        return self._range_query(fragment, sigma)
 
-    def range_query_with_bits(
-        self, fragment: QueryFragment, sigma: float, want_bits: bool = True
-    ) -> Tuple[Dict[int, float], Optional[int]]:
-        """Range query returning ``(distances, bitset of matched ids)``.
+    def _range_query(
+        self, fragment: QueryFragment, sigma: float
+    ) -> Dict[int, float]:
+        """:meth:`range_query` body, for the sharding layer's merged lookup.
 
-        The bitset packs the keys of the distance mapping
-        (:mod:`repro.index.bitset`), letting the search intersect candidate
-        sets with bitwise ANDs.  It is computed lazily — only when
-        ``want_bits`` is true, so the legacy set-based path never pays for
-        packing — and memoized per ``(class, sequence, sigma)`` alongside
-        the distances.  The returned mapping must not be mutated.
+        :class:`~repro.index.sharded.ShardedFragmentIndex` answers its own
+        public ``range_query`` by calling this on every shard, so one merged
+        lookup is one call of the public method, never a nest of them.
         """
         key = (fragment.code, fragment.sequence, sigma)
-        entry = self._range_cache.get(key)
-        if entry is MemoCache.MISS:
+        distances = self._range_cache.get(key)
+        if distances is MemoCache.MISS:
             with self.counters.timer("range_query"):
                 distances = self.get_class(fragment.code).range_query(
                     fragment.sequence, sigma
                 )
-            # Mutable [distances, bits-or-None] so a later bit-wanting call
-            # can fill the bitset in place for subsequent cache hits.
-            entry = [distances, None]
-            self._range_cache.put(key, entry)
-        if want_bits and entry[1] is None:
-            try:
-                entry[1] = bits_from_ids(entry[0])
-            except (TypeError, ValueError):
-                # Exotic graph ids that don't fit a bitset; callers consult
-                # FragmentIndex.supports_bitsets before trusting the bits.
-                entry[1] = 0
-        return entry[0], entry[1]
-
-    def fragment_statistics(
-        self, fragment: QueryFragment, sigma: float
-    ) -> FragmentStatistics:
-        """Aggregated range-result statistics for one fragment.
-
-        This is the per-shard statistics API the global planner builds on:
-        it reuses the memoized range query (so a later
-        :meth:`range_query_with_bits` for the same ``(fragment, sigma)`` is
-        a cache hit, not repeated work) and reduces the distance map to the
-        ``(|T|, exact matched-distance sum)`` pair selectivity estimation
-        needs.
-        """
-        distances, _ = self.range_query_with_bits(fragment, sigma, want_bits=False)
-        return FragmentStatistics(
-            num_matching_graphs=len(distances),
-            matched_distance_sum=math.fsum(distances.values()),
-        )
+            self._range_cache.put(key, distances)
+        return distances
 
     def __repr__(self) -> str:
         low, high = self.fragment_size_range()

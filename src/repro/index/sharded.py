@@ -32,7 +32,6 @@ merge so engine code and tests share one implementation.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import (
@@ -51,17 +50,11 @@ from typing import (
 from ..core.database import GraphDatabase
 from ..core.errors import DatasetError, EngineConfigError, IndexError_
 from ..core.graph import LabeledGraph
-from .. import perf
 from ..exec import make_executor
 from ..perf import GLOBAL_COUNTERS, MemoCache, PerfCounters
 from ..search.results import PruningReport, SearchResult
 from ..store.epoch import EpochManager
-from .fragment_index import (
-    FragmentIndex,
-    FragmentStatistics,
-    IndexStats,
-    QueryFragment,
-)
+from .fragment_index import FragmentIndex, IndexStats, QueryFragment
 
 __all__ = [
     "ShardedFragmentIndex",
@@ -254,19 +247,6 @@ class _MergedClassView:
         return merged
 
     @property
-    def supports_bitsets(self) -> bool:
-        """Whether every shard's posting list has a valid bitset."""
-        return all(c.supports_bitsets for c in self._classes)
-
-    @property
-    def containing_bits(self) -> int:
-        """Bitwise OR of the shards' posting-list bitsets."""
-        bits = 0
-        for class_index in self._classes:
-            bits |= class_index.containing_bits
-        return bits
-
-    @property
     def num_containing_graphs(self) -> int:
         """Total number of graphs containing the structure."""
         return sum(c.num_containing_graphs for c in self._classes)
@@ -370,12 +350,6 @@ class ShardedFragmentIndex:
         self._distance_cache = MemoCache(
             "verify_distance", maxsize=65536, counters=self.counters
         )
-        # Per-generation global selectivity statistics: the planner asks for
-        # merged (|T|, distance-sum) pairs per (fragment, sigma), and the
-        # generation in the key lets mutations invalidate without clearing.
-        self._stats_cache = MemoCache(
-            "global_stats", maxsize=4096, counters=self.counters
-        )
         # Per-generation merged range results.  The planner's range queries
         # repeat fragments across queries; without this memo every repeat
         # would re-merge all the shard maps, multiplying a cache hit's cost
@@ -403,8 +377,7 @@ class ShardedFragmentIndex:
 
         ``workers > 1`` builds whole shards in parallel worker processes
         (enumeration *and* backend insertion), producing shards byte-identical
-        to a serial build; the ``"parallel"`` optimization flag and process
-        availability gate the pool exactly like the unsharded parallel build.
+        to a serial build.
         """
         num_shards = int(num_shards)
         if num_shards < 1:
@@ -421,11 +394,7 @@ class ShardedFragmentIndex:
         ]
         pool_size = int(workers or 0)
         start = time.perf_counter()
-        if (
-            pool_size > 1
-            and num_shards > 1
-            and perf.optimizations_enabled("parallel")
-        ):
+        if pool_size > 1 and num_shards > 1:
             executor = make_executor("process", workers=min(pool_size, num_shards))
             shards = executor.map(_build_shard_task, payloads)
         else:
@@ -516,11 +485,6 @@ class ShardedFragmentIndex:
         """Number of structural equivalence classes (same in every shard)."""
         return self.shards[0].num_classes
 
-    @property
-    def supports_bitsets(self) -> bool:
-        """Whether every shard supports bitset posting lists."""
-        return all(shard.supports_bitsets for shard in self.shards)
-
     def codes(self) -> Iterator:
         """Iterate over the canonical codes of the indexed classes."""
         return self.shards[0].codes()
@@ -572,82 +536,31 @@ class ShardedFragmentIndex:
         shard; without sharing, a scatter-gather search would repeat it per
         shard.  Shard 0 computes (and caches) the result, the other shards'
         memo caches are seeded with it, and a pickled shard carries its warm
-        cache into process-executor workers.  No-op while the ``"caches"``
-        optimization flag is off.
+        cache into process-executor workers.
         """
-        if not perf.optimizations_enabled("caches"):
-            return
         for query in queries:
             fragments = self.shards[0].enumerate_query_fragments(query)
             for shard in self.shards[1:]:
                 shard.prewarm_query_fragments(query, fragments)
 
     def range_query(self, fragment: QueryFragment, sigma: float) -> Dict[int, float]:
-        """Merged range query over all shards (ids are disjoint)."""
-        distances, _ = self.range_query_with_bits(fragment, sigma, want_bits=False)
-        return distances
+        """Merged range query over all shards (ids are disjoint).
 
-    def range_query_with_bits(
-        self, fragment: QueryFragment, sigma: float, want_bits: bool = True
-    ) -> Tuple[Dict[int, float], Optional[int]]:
-        """Merged range query returning ``(distances, OR of shard bitsets)``.
-
-        Memoized per ``(fragment, sigma, generation)`` like
-        :meth:`fragment_statistics`: shard ids are disjoint, so the merged
-        map is a plain union, and the generation key lets mutations
-        invalidate without an explicit clear.  The bitset is filled into
-        the cache entry lazily, mirroring the unsharded index.  The
-        returned mapping must not be mutated.
+        Memoized per ``(fragment, sigma, generation)``: shard ids are
+        disjoint, so the merged map is a plain union, and the generation
+        key lets mutations invalidate without an explicit clear.  Each
+        shard answers through its private lookup, so one merged query is
+        one call of a public ``range_query``.  The returned mapping must
+        not be mutated.
         """
         key = (fragment.code, fragment.sequence, float(sigma), self.generation)
-        entry = self._range_cache.get(key)
-        if entry is MemoCache.MISS:
-            merged: Dict[int, float] = {}
+        merged = self._range_cache.get(key)
+        if merged is MemoCache.MISS:
+            merged = {}
             for shard in self.shards:
-                distances, _ = shard.range_query_with_bits(
-                    fragment, sigma, want_bits=False
-                )
-                merged.update(distances)
-            entry = [merged, None]
-            self._range_cache.put(key, entry)
-        if want_bits and entry[1] is None:
-            bits = 0
-            for shard in self.shards:
-                _, shard_bits = shard.range_query_with_bits(
-                    fragment, sigma, want_bits=True
-                )
-                bits |= shard_bits or 0
-            entry[1] = bits
-        return entry[0], entry[1]
-
-    def fragment_statistics(
-        self, fragment: QueryFragment, sigma: float
-    ) -> FragmentStatistics:
-        """Globally merged range-result statistics for one fragment.
-
-        Walks every shard's (memoized) range query and reduces the union to
-        one ``(|T|, matched-distance sum)`` pair.  The sum is a single
-        exactly-rounded :func:`math.fsum` over *all* matched distances, so
-        the result is bit-identical to what an unsharded index computes over
-        the same database — the property that lets a global planner produce
-        the same partition for every topology.  Memoized per
-        ``(fragment, sigma, generation)``: mutations bump the generation,
-        invalidating stale statistics without an explicit clear.
-        """
-        key = (fragment.code, fragment.sequence, float(sigma), self.generation)
-        cached = self._stats_cache.get(key)
-        if cached is not MemoCache.MISS:
-            return cached
-        # Shard ids are disjoint, so the merged map's length is the global
-        # |T| and math.fsum over its values — exactly rounded, therefore
-        # order-independent — equals the fsum over any per-shard ordering.
-        distances = self.range_query(fragment, sigma)
-        statistics = FragmentStatistics(
-            num_matching_graphs=len(distances),
-            matched_distance_sum=math.fsum(distances.values()),
-        )
-        self._stats_cache.put(key, statistics)
-        return statistics
+                merged.update(shard._range_query(fragment, sigma))
+            self._range_cache.put(key, merged)
+        return merged
 
     # ------------------------------------------------------------------
     # caches / counters
@@ -660,7 +573,6 @@ class ShardedFragmentIndex:
     def clear_caches(self) -> None:
         """Drop the merged-view caches and every shard's memo caches."""
         self._distance_cache.clear()
-        self._stats_cache.clear()
         self._range_cache.clear()
         for shard in self.shards:
             shard.clear_caches()
@@ -669,7 +581,6 @@ class ShardedFragmentIndex:
         """Accounting of the merged-view caches plus every shard's caches."""
         stats = [
             self._distance_cache.stats(),
-            self._stats_cache.stats(),
             self._range_cache.stats(),
         ]
         for shard in self.shards:

@@ -26,8 +26,6 @@ from ..core.distance import DistanceMeasure
 from ..core.errors import IndexNotBuiltError
 from ..core.graph import LabeledGraph
 from ..core.isomorphism import has_embedding
-from .. import perf
-from ..index.bitset import ids_from_bits
 from ..index.fragment_index import FragmentIndex
 from .strategy import SearchStrategy
 from .verify import AUTO_VERIFIER
@@ -64,6 +62,7 @@ class TopoPruneSearch(SearchStrategy):
         verifier: str = AUTO_VERIFIER,
         verify_workers: int = 0,
         verify_executor: str = "thread",
+        verify_kernel: str = "auto",
     ):
         if isinstance(database, FragmentIndex):
             # Legacy calling convention: TopoPruneSearch(index, database).
@@ -80,6 +79,7 @@ class TopoPruneSearch(SearchStrategy):
             verifier=verifier,
             verify_workers=verify_workers,
             verify_executor=verify_executor,
+            verify_kernel=verify_kernel,
         )
 
     def candidates(self, query: LabeledGraph, sigma: float) -> List[int]:
@@ -89,11 +89,7 @@ class TopoPruneSearch(SearchStrategy):
         structure containment does not depend on the distance threshold.
         """
         fragments = self.index.enumerate_query_fragments(query)
-        use_bits = (
-            perf.optimizations_enabled("bitsets") and self.index.supports_bitsets
-        )
         candidate_ids: Optional[Set[int]] = None
-        candidate_bits: Optional[int] = None
         seen_codes: Set = set()
         for fragment in fragments:
             # Structure containment depends only on the equivalence class,
@@ -101,23 +97,11 @@ class TopoPruneSearch(SearchStrategy):
             if fragment.code in seen_codes:
                 continue
             seen_codes.add(fragment.code)
-            class_index = self.index.get_class(fragment.code)
-            if use_bits:
-                # Posting lists are big-int bitsets: one AND per class.
-                bits = class_index.containing_bits
-                candidate_bits = (
-                    bits if candidate_bits is None else candidate_bits & bits
-                )
-            else:
-                containing = class_index.containing_graphs()
-                candidate_ids = (
-                    containing if candidate_ids is None else candidate_ids & containing
-                )
+            containing = self.index.get_class(fragment.code).containing_graphs()
+            candidate_ids = (
+                containing if candidate_ids is None else candidate_ids & containing
+            )
         self.counters.increment("topo.classes_intersected", len(seen_codes))
-        if use_bits:
-            if candidate_bits is None:
-                return self._all_graph_ids()
-            return ids_from_bits(candidate_bits)
         if candidate_ids is None:
             return self._all_graph_ids()
         return sorted(candidate_ids)

@@ -98,8 +98,7 @@ class QueryPlan:
     partition_applied:
         Whether the Eq. 2 sweep ran globally (an eligible partition *and* a
         non-empty structure-candidate set).  Executors state the partition
-        report fields exactly when this is set, mirroring the legacy
-        single-pass guard.
+        report fields exactly when this is set.
     fragment_distances:
         The global per-fragment range-query results backing the plan, in
         fragment order.  Local executors surface them through
@@ -213,7 +212,7 @@ class GlobalPlanner:
         The index to plan over — an unsharded
         :class:`~repro.index.FragmentIndex` or a
         :class:`~repro.index.ShardedFragmentIndex`; both expose
-        ``enumerate_query_fragments``, ``fragment_statistics``, and
+        ``enumerate_query_fragments``, ``range_query``, and
         ``generation``, which is the planner's entire index contract.
     epsilon / cutoff_lambda / partition_method / partition_k:
         The pruning parameters, identical in meaning to

@@ -33,10 +33,10 @@ class PruningReport:
     planned:
         ``True`` when the filtering phase executed a precomputed
         :class:`~repro.search.planner.QueryPlan` (global selectivities and
-        a single MWIS solve) instead of planning locally.
+        a single MWIS solve); ``False`` for strategies that do not plan.
     estimated_candidates:
-        The planner's candidate-count estimate for this query (``0`` on the
-        legacy path).  Compared against ``num_candidates`` by
+        The planner's candidate-count estimate for this query (``0`` for
+        strategies that do not plan).  Compared against ``num_candidates`` by
         ``pis explain``.
     """
 
@@ -103,8 +103,7 @@ class SearchResult:
 
     plan:
         The :class:`~repro.search.planner.QueryPlan` the filtering phase
-        executed, when planning was enabled (``None`` on the legacy path
-        and for strategies that do not plan).  Like ``from_cache`` it is
+        executed (``None`` for strategies that do not plan).  Like ``from_cache`` it is
         excluded from :meth:`as_dict`: it describes how the query was
         executed, not its answer.
 

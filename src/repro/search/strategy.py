@@ -9,7 +9,6 @@ from ..core.database import GraphDatabase
 from ..core.distance import DistanceMeasure
 from ..core.errors import EngineConfigError
 from ..core.graph import LabeledGraph
-from .. import perf
 from ..perf import GLOBAL_COUNTERS, MemoCache, PerfCounters
 from .results import PruningReport, SearchResult
 from .verify import AUTO_VERIFIER, Verifier, make_verifier, resolve_verifier_name
@@ -23,8 +22,8 @@ class SearchStrategy:
     :meth:`search` is a template method shared by every strategy — PIS and
     the baselines alike — so all of them time and report the two phases
     identically.  Subclasses implement :meth:`candidates` (the filtering
-    phase); strategies with a richer filtering phase (PIS) override
-    :meth:`_filter` to also supply a pruning report and per-candidate lower
+    phase); a strategy that plans (PIS) overrides :meth:`plan_query` and
+    :meth:`_execute` to also supply a pruning report and per-candidate lower
     bounds.  Verification itself is delegated to a pluggable
     :class:`~repro.search.verify.Verifier` so every strategy returns
     byte-for-byte comparable answer sets.
@@ -56,9 +55,9 @@ class SearchStrategy:
         verification, or ``"serial"``.
     verify_kernel:
         Superposition search kernel used during verification: ``"auto"``
-        (default, follow the global ``"kernel"`` optimization flag),
-        ``"array"`` (force the array kernel of :mod:`repro.core.kernel`),
-        or ``"legacy"`` (force the recursive reference search).
+        (default) or ``"array"`` for the array kernel of
+        :mod:`repro.core.kernel`, ``"legacy"`` for the recursive reference
+        search.
     """
 
     #: strategy identifier used in reports and registry lookups
@@ -113,10 +112,9 @@ class SearchStrategy:
     ) -> Tuple[List[int], PruningReport, Optional[Dict[int, float]]]:
         """Filtering hook of the :meth:`search` template.
 
-        Returns ``(candidate_ids, report, lower_bounds)``.  The base
-        implementation wraps :meth:`candidates` and reports no lower bounds;
-        PIS overrides it to expose its pruning report and the Eq. 2 bounds
-        its filtering phase computes anyway.
+        Returns ``(candidate_ids, report, lower_bounds)``: the wrapped
+        :meth:`candidates` with no lower bounds.  Strategies that plan never
+        reach it (see :meth:`plan_query`).
         """
         candidate_ids = self.candidates(query, sigma)
         return candidate_ids, PruningReport(), None
@@ -127,7 +125,7 @@ class SearchStrategy:
         The base implementation returns ``None`` — baselines have no
         plan/execute split and :meth:`search` falls back to :meth:`_filter`.
         PIS overrides this to consult its :class:`~repro.search.planner
-        .GlobalPlanner` when the ``"caches"`` optimization flag is on.
+        .GlobalPlanner`.
         """
         return None
 
@@ -201,10 +199,6 @@ class SearchStrategy:
         """Verify candidates: keep graphs whose true distance is within sigma.
 
         Delegates to the configured :class:`~repro.search.verify.Verifier`.
-        When the global ``"verify"`` optimization flag is off
-        (:func:`repro.perf.optimizations_disabled`), the legacy sequential
-        loop is used instead regardless of configuration — the benchmark
-        gate relies on this to measure the pre-subsystem verifier.
 
         Parameters
         ----------
@@ -220,11 +214,7 @@ class SearchStrategy:
         tuple
             ``(answer_ids, answer_distances)`` in candidate order.
         """
-        if perf.optimizations_enabled("verify"):
-            chosen = self.get_verifier()
-        else:
-            chosen = self.get_verifier("legacy")
-        return chosen.verify(
+        return self.get_verifier().verify(
             query, sigma, candidate_ids, lower_bounds=lower_bounds, workers=workers
         )
 
@@ -254,7 +244,7 @@ class SearchStrategy:
             to execute (the scatter path plans once on the driver and ships
             the plan to every shard).  ``None`` asks the strategy to plan
             for itself via :meth:`plan_query`; strategies that do not plan
-            run their legacy :meth:`_filter` path.
+            run their :meth:`_filter` path.
 
         Returns
         -------

@@ -10,9 +10,9 @@ search strategies in :mod:`repro.search.registry`:
 
 :class:`LegacyVerifier` (``"legacy"``)
     The reference path: one full :func:`repro.core.best_superposition` per
-    candidate, in candidate order, with no caching.  The benchmark gate
-    measures every optimized verifier against it and requires byte-identical
-    answers and distances.
+    candidate, in candidate order, with no caching.  Together with
+    NaiveSearch and ``kernel="legacy"`` it is the correctness oracle every
+    optimized configuration must match byte for byte.
 
 :class:`BoundedVerifier` (``"bounded"``, the default)
     Exploits the per-candidate lower bounds that the PIS filtering phase
@@ -52,9 +52,7 @@ search strategies in :mod:`repro.search.registry`:
 
 Both verifiers return answers in the original candidate order, so every
 configuration — serial or parallel, cached or cold — produces byte-identical
-results.  The global ``"verify"`` optimization flag
-(:func:`repro.perf.optimizations_disabled`) forces the legacy path, which is
-how the benchmark gate proves the optimized verifier safe.
+results.
 
 Examples
 --------
@@ -77,7 +75,6 @@ from ..core.errors import EngineConfigError, UnknownComponentError
 from ..core.graph import LabeledGraph
 from ..core.superimposed import INFINITE_DISTANCE, best_superposition
 from ..exec import make_executor
-from .. import perf
 from ..perf import GLOBAL_COUNTERS, MemoCache, PerfCounters, graph_signature
 
 __all__ = [
@@ -140,20 +137,17 @@ def query_cache_key(query: LabeledGraph, measure: DistanceMeasure) -> str:
 KERNEL_MODES = ("auto", "array", "legacy")
 
 
-def resolve_kernel_mode(kernel: str) -> Optional[bool]:
+def resolve_kernel_mode(kernel: str) -> bool:
     """Map a ``kernel`` mode string to a ``use_kernel`` argument.
 
-    ``"auto"`` -> ``None`` (follow the global ``"kernel"`` optimization
-    flag), ``"array"`` -> ``True`` (force the array kernel where it can
-    run), ``"legacy"`` -> ``False`` (force the recursive search).
+    ``"auto"`` and ``"array"`` -> ``True`` (the array kernel where it can
+    run); ``"legacy"`` -> ``False`` (the recursive reference search).
     """
     if kernel not in KERNEL_MODES:
         raise EngineConfigError(
             f"unknown kernel mode {kernel!r}; expected one of {KERNEL_MODES}"
         )
-    if kernel == "auto":
-        return None
-    return kernel == "array"
+    return kernel != "legacy"
 
 
 def _verify_chunk_task(payload: Tuple) -> List[Tuple[int, float, int, int, int]]:
@@ -222,11 +216,10 @@ class Verifier:
         ``"serial"`` to pin verification to the calling thread.  Verifiers
         that do not parallelize ignore it.
     kernel:
-        Branch-and-bound backend selection: ``"auto"`` (default) follows
-        the global ``"kernel"`` optimization flag, ``"array"`` forces the
-        array kernel of :mod:`repro.core.kernel` where it can run, and
-        ``"legacy"`` pins the recursive search.  Both backends return
-        byte-identical distances.
+        Branch-and-bound backend selection: ``"auto"`` (default) and
+        ``"array"`` run the array kernel of :mod:`repro.core.kernel` where
+        it can run; ``"legacy"`` pins the recursive reference search.  Both
+        backends return byte-identical distances.
     """
 
     #: verifier identifier used in reports and registry lookups
@@ -253,7 +246,7 @@ class Verifier:
         self.workers = int(workers or 0)
         self.executor = executor
         self.kernel = kernel
-        #: ``use_kernel`` argument derived from ``kernel`` (None = global flag)
+        #: ``use_kernel`` argument derived from ``kernel``
         self.use_kernel = resolve_kernel_mode(kernel)
 
     def _graph_revision(self, graph_id: int) -> int:
@@ -311,9 +304,8 @@ class LegacyVerifier(Verifier):
     One full branch-and-bound :func:`~repro.core.best_superposition` call
     per candidate, in candidate order, with the threshold as the only
     pruning device — no ordering, no lower-bound short-circuit, no
-    memoization, no parallelism.  ``optimizations_disabled()`` routes every
-    strategy here, and the benchmark gate uses it as the baseline that
-    optimized verifiers must match byte for byte.
+    memoization, no parallelism.  It is the baseline optimized verifiers
+    must match byte for byte.
     """
 
     name = "legacy"
@@ -452,16 +444,9 @@ class BoundedVerifier(Verifier):
         with self.counters.timer("verify"):
             ordered, skipped = self.plan(sigma, candidate_ids, bounds)
             self.last_order = list(ordered)
-            query_key = (
-                query_cache_key(query, self.measure)
-                if perf.optimizations_enabled("caches")
-                else None
-            )
+            query_key = query_cache_key(query, self.measure)
             parallel = (
-                pool_size > 1
-                and len(ordered) > 1
-                and self.executor != "serial"
-                and perf.optimizations_enabled("parallel")
+                pool_size > 1 and len(ordered) > 1 and self.executor != "serial"
             )
             if parallel and self.executor == "process":
                 outcomes = self._verify_process(
@@ -504,16 +489,12 @@ class BoundedVerifier(Verifier):
         self.counters.increment("verify.nodes_expanded", sum(o[3] for o in outcomes))
         return answers, distances
 
-    def _cache_key(
-        self, query_key: Optional[str], graph_id: int
-    ) -> Optional[Tuple[str, Any, int]]:
-        """Distance-cache key of one candidate, or ``None`` when caching is off."""
-        if query_key is None or self.distance_cache is None:
-            return None
+    def _cache_key(self, query_key: str, graph_id: int) -> Tuple[str, Any, int]:
+        """Distance-cache key of one candidate."""
         return (query_key, graph_id, self._graph_revision(graph_id))
 
     def _cached_outcome(
-        self, cache_key: Optional[Tuple[str, Any, int]], sigma: float
+        self, cache_key: Tuple[str, Any, int], sigma: float
     ) -> Optional[Tuple[Optional[float], int, int, int]]:
         """Resolve one candidate from the distance cache, if possible.
 
@@ -522,8 +503,6 @@ class BoundedVerifier(Verifier):
         cached only as "> threshold" at a smaller threshold — the refresh
         case, which is also accounted here).
         """
-        if cache_key is None:
-            return None
         entry = self.distance_cache.get(cache_key)
         if entry is MemoCache.MISS:
             return None
@@ -543,7 +522,7 @@ class BoundedVerifier(Verifier):
     def _verify_one(
         self,
         query: LabeledGraph,
-        query_key: Optional[str],
+        query_key: str,
         graph_id: int,
         sigma: float,
         bound: Optional[float],
@@ -567,8 +546,7 @@ class BoundedVerifier(Verifier):
             known_lower_bound=bound,
             use_kernel=self.use_kernel,
         )
-        if cache_key is not None:
-            self.distance_cache.put(cache_key, (result.distance, sigma))
+        self.distance_cache.put(cache_key, (result.distance, sigma))
         return (
             result.distance if result.distance <= sigma else None,
             result.explored,
@@ -579,7 +557,7 @@ class BoundedVerifier(Verifier):
     def _verify_process(
         self,
         query: LabeledGraph,
-        query_key: Optional[str],
+        query_key: str,
         ordered: Sequence[int],
         sigma: float,
         bounds: Mapping[int, float],
@@ -623,9 +601,9 @@ class BoundedVerifier(Verifier):
             )
             for chunk_outcomes in pool.map(_verify_chunk_task, payloads):
                 for graph_id, distance, explored, early, expanded in chunk_outcomes:
-                    cache_key = self._cache_key(query_key, graph_id)
-                    if cache_key is not None:
-                        self.distance_cache.put(cache_key, (distance, sigma))
+                    self.distance_cache.put(
+                        self._cache_key(query_key, graph_id), (distance, sigma)
+                    )
                     outcomes[graph_id] = (
                         distance if distance <= sigma else None,
                         explored,

@@ -420,9 +420,11 @@ class QueryServer:
     ) -> Dict[str, Any]:
         """Apply one mutation batch (removals first, then additions).
 
-        Runs in a worker thread: the exclusive write epoch inside
-        ``add_graphs`` / ``remove_graphs`` serializes against in-flight
-        search batches without stalling the event loop.  Returns the
+        Runs in a worker thread, so the exclusive write epoch serializes
+        against in-flight search batches without stalling the event loop.
+        A batch with both removals and additions holds one write epoch
+        around both halves, so no search ever answers from it with the
+        removals applied but not the additions.  Returns the
         outcome dict the TCP ``update`` op reports (``added`` ids,
         ``removed_entries``, the new index ``generation``, and ``wal_lsn``
         when the engine is durable).
@@ -438,14 +440,25 @@ class QueryServer:
             raise ServeError("empty update: pass 'add' graphs and/or 'remove' ids")
 
         def apply() -> Dict[str, Any]:
-            removed_entries = (
-                self.engine.remove_graphs(removals) if removals else 0
+            # A two-part batch holds one write epoch across both calls (the
+            # writer side is reentrant, so their own sessions publish
+            # nothing until it ends).  A one-part batch needs no outer
+            # epoch: the engine call takes its own after the WAL fsync, so
+            # searches keep running while the log syncs.
+            atomic = (
+                self.engine.index.epochs.write()
+                if removals and additions
+                else contextlib.nullcontext()
             )
-            added_ids = (
-                self.engine.add_graphs(additions, reuse_ids=reuse_ids)
-                if additions
-                else []
-            )
+            with atomic:
+                removed_entries = (
+                    self.engine.remove_graphs(removals) if removals else 0
+                )
+                added_ids = (
+                    self.engine.add_graphs(additions, reuse_ids=reuse_ids)
+                    if additions
+                    else []
+                )
             return {
                 "added": list(added_ids),
                 "removed": len(removals),

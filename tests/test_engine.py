@@ -24,6 +24,7 @@ from repro.core import (
     EngineConfigError,
     EngineError,
     IndexNotBuiltError,
+    InvalidSigmaError,
     PISError,
     SerializationError,
     UnknownComponentError,
@@ -340,3 +341,50 @@ class TestEnginePersistence:
             reloaded.search(queries[0], 1).answer_ids
             == engine.search(queries[0], 1).answer_ids
         )
+
+
+class TestDegenerateSigma:
+    """Each degenerate threshold has a defined answer or a typed error."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        database = generate_chemical_database(20, seed=3)
+        query = QueryWorkload(database, seed=4).sample_queries(num_edges=5, count=1)[0]
+        engines = [Engine.build(database, CONFIG, shards=shards) for shards in (1, 2)]
+        return database, query, engines
+
+    @pytest.mark.parametrize(
+        "sigma, expected",
+        [
+            (0.0, "exact matches only"),
+            (-1.0, "no answers"),
+            (float("nan"), InvalidSigmaError),
+            (float("inf"), "every live graph"),
+        ],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_sigma_table(self, small, sigma, expected):
+        from helpers import oracle_answers
+
+        database, query, engines = small
+        for engine in engines:
+            if expected is InvalidSigmaError:
+                with pytest.raises(InvalidSigmaError) as raised:
+                    engine.search(query, sigma)
+                assert isinstance(raised.value, EngineError)
+                assert isinstance(raised.value, ValueError)
+                with pytest.raises(InvalidSigmaError):
+                    engine.search_many([query], sigma)
+                continue
+            result = engine.search(query, sigma)
+            answer = (result.answer_ids, result.answer_distances)
+            assert answer == oracle_answers(database, engine.measure, query, sigma)
+            batch = engine.search_many([query], sigma)[0]
+            assert (batch.answer_ids, batch.answer_distances) == answer
+            if expected == "exact matches only":
+                assert result.answer_ids
+                assert set(result.answer_distances.values()) == {0.0}
+            elif expected == "no answers":
+                assert result.answer_ids == []
+            else:
+                assert result.answer_ids == database.graph_ids()

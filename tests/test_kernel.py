@@ -30,19 +30,13 @@ from repro.core import kernel as kernel_module
 from repro.core.kernel import (
     MAX_KERNEL_VERTICES,
     graph_arrays,
-    kernel_available,
     kernel_best_superposition,
     query_plan,
 )
 from repro.datasets import sample_connected_subgraph
 from repro.engine import Engine, EngineConfig
-from repro.perf import optimizations_disabled
 
-from helpers import build_graph, cycle_graph, path_graph, random_molecule
-
-pytestmark = pytest.mark.skipif(
-    not kernel_available(), reason="numpy unavailable: kernel cannot run"
-)
+from helpers import build_graph, cycle_graph, path_graph, random_molecule, oracle_answers
 
 MEASURES = {
     "mutation-full": MutationDistance(),
@@ -164,16 +158,27 @@ class TestDistanceEquality:
         )
 
     @pytest.mark.parametrize("trial", range(4))
-    def test_global_flag_routes_to_kernel(self, trial, full_measure):
-        # With optimizations on (the default), use_kernel=None follows the
-        # "kernel" flag; under optimizations_disabled() the legacy search
-        # must run — same distances either way.
+    def test_default_routes_to_kernel(self, trial, full_measure, monkeypatch):
+        # The default runs the array kernel; use_kernel=False runs the
+        # recursive reference search — same distances either way.
         rng = random.Random(4000 + trial)
         query, target = _random_pair(rng)
-        flagged = best_superposition(query, target, full_measure)
-        with optimizations_disabled():
-            legacy = best_superposition(query, target, full_measure)
-        assert flagged.distance == legacy.distance
+        calls = []
+        kernel_search = kernel_module.kernel_best_superposition
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel_search(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_module, "kernel_best_superposition", counting)
+        default = best_superposition(query, target, full_measure)
+        legacy = best_superposition(query, target, full_measure, use_kernel=False)
+        assert default.distance == legacy.distance
+        if query.num_vertices and (
+            query.num_vertices <= target.num_vertices
+            and query.num_edges <= target.num_edges
+        ):
+            assert calls == [1]
 
 
 class TestKernelEncoding:
@@ -208,8 +213,7 @@ class TestKernelEncoding:
         for (u, v) in list(target.edges()):
             target.set_edge_label(u, v, "single")
         after = best_superposition(query, target, edge_measure, use_kernel=True)
-        with optimizations_disabled():
-            legacy = best_superposition(query, target, edge_measure)
+        legacy = best_superposition(query, target, edge_measure, use_kernel=False)
         assert after.distance == legacy.distance > 0.0
 
     def test_cache_excluded_from_pickle_and_deepcopy(self):
@@ -230,8 +234,7 @@ class TestKernelEncoding:
             kernel_best_superposition(query, target, edge_measure) is None
         )  # refuses: best_superposition then runs the recursive path
         result = best_superposition(query, target, edge_measure, use_kernel=True)
-        with optimizations_disabled():
-            legacy = best_superposition(query, target, edge_measure)
+        legacy = best_superposition(query, target, edge_measure, use_kernel=False)
         assert result.distance == legacy.distance
 
     def test_max_kernel_vertices_is_sane(self):
@@ -267,21 +270,28 @@ def _build_database(seed=101, count=24):
     return database
 
 
-def _answers_payload(engine, queries, sigmas):
+def _answers_payload(search, queries, sigmas):
+    """JSON payload of ``search(query, sigma) -> (ids, distances)``."""
     payload = []
     for query in queries:
         for sigma in sigmas:
-            result = engine.search(query, sigma)
+            ids, distances = search(query, sigma)
             payload.append(
                 {
                     "sigma": sigma,
-                    "answers": result.answer_ids,
-                    "distances": {
-                        str(k): v for k, v in sorted(result.answer_distances.items())
-                    },
+                    "answers": list(ids),
+                    "distances": {str(k): v for k, v in sorted(distances.items())},
                 }
             )
     return json.dumps(payload, sort_keys=True)
+
+
+def _engine_search(engine):
+    def search(query, sigma):
+        result = engine.search(query, sigma)
+        return result.answer_ids, result.answer_distances
+
+    return search
 
 
 class TestEngineByteIdentity:
@@ -305,17 +315,24 @@ class TestEngineByteIdentity:
             )
             for mode in ("array", "legacy")
         }
+        # the configured kernel mode reaches the strategy's verifier
+        assert engines["legacy"].strategy.get_verifier().use_kernel is False
+        assert engines["array"].strategy.get_verifier().use_kernel is True
         payloads = {
-            mode: _answers_payload(engine, queries, sigmas)
+            mode: _answers_payload(_engine_search(engine), queries, sigmas)
             for mode, engine in engines.items()
         }
         assert payloads["array"] == payloads["legacy"]
 
-        # the disabled-optimizations path (recursive search, legacy
-        # verifier) agrees too — the full pre-kernel behaviour is intact
-        with optimizations_disabled():
-            disabled = _answers_payload(engines["array"], queries, sigmas)
-        assert disabled == payloads["array"]
+        # and both agree with the NaiveSearch oracle (legacy verifier,
+        # recursive search)
+        measure = engines["array"].measure
+        oracle = _answers_payload(
+            lambda query, sigma: oracle_answers(database, measure, query, sigma),
+            queries,
+            sigmas,
+        )
+        assert oracle == payloads["array"]
 
     def test_stats_surface_nodes_expanded(self):
         database = _build_database(count=12)
@@ -327,7 +344,6 @@ class TestEngineByteIdentity:
         engine.search(query, 2.0)
         stats = engine.stats()["verify"]
         assert stats["kernel"] == "array"
-        assert stats["kernel_available"] is True
         assert stats["nodes_expanded"] >= 0
         serving = engine.serving_stats()["verify"]
         assert serving["kernel"] == "array"

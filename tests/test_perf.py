@@ -1,11 +1,11 @@
-"""Tests of the performance subsystem: counters, caches, bitsets, parallel build.
+"""Tests of the performance subsystem: counters, caches, parallel build.
 
-Covers the PR-2 acceptance surface:
+Covers:
 
 * cache hit/miss accounting (``MemoCache``, structure-code cache, the
   fragment index's query-fragment and range-query caches);
-* bitset candidate sets matching the set-based legacy results on
-  randomized databases (PIS and topoPrune, across thresholds);
+* PIS and topoPrune candidate sets sound against the NaiveSearch oracle
+  on randomized databases, across thresholds;
 * parallel vs serial ``Engine.build`` producing identical indexes;
 * counters surfacing in ``SearchResult`` / ``BatchSearchResult`` and
   ``Engine.profile()``;
@@ -14,7 +14,6 @@ Covers the PR-2 acceptance surface:
 """
 
 import json
-import random
 
 import pytest
 
@@ -26,23 +25,16 @@ from repro import (
     PerfCounters,
     QueryWorkload,
     generate_chemical_database,
-    optimizations_disabled,
-    optimizations_enabled,
 )
 from repro.core.canonical import structure_code, structure_code_cache
-from repro.index.bitset import (
-    bit_count,
-    bits_from_ids,
-    full_mask,
-    ids_from_bits,
-    supported_id,
-)
 from repro.index.persistence import (
     INDEX_SCHEMA_VERSION,
     index_from_dict,
     index_to_dict,
 )
 from repro.perf import graph_signature, skeleton_signature
+
+from helpers import oracle_answers
 
 
 SMALL_CONFIG = EngineConfig(
@@ -156,14 +148,6 @@ class TestMemoCache:
         assert sink.get("probe.cache_misses") == 1
         assert sink.get("probe.cache_hits") == 1
 
-    def test_disabled_caches_always_miss(self):
-        cache = MemoCache("t")
-        with optimizations_disabled("caches"):
-            cache.put("k", 1)
-            assert cache.get("k") is MemoCache.MISS
-        assert cache.get("k") is MemoCache.MISS  # the put was dropped too
-        assert optimizations_enabled("caches")
-
 
 # ----------------------------------------------------------------------
 # signatures and the structure-code cache
@@ -189,46 +173,6 @@ class TestSignaturesAndStructureCode:
         second = structure_code(graph.copy())
         assert first == second
         assert cache.stats()["hits"] == hits_before + 1
-
-    def test_structure_code_correct_with_caches_disabled(self):
-        graph = LabeledGraph.from_edges([(0, 1), (1, 2)])
-        with optimizations_disabled("caches"):
-            uncached = structure_code(graph)
-        assert uncached == structure_code(graph)
-
-
-# ----------------------------------------------------------------------
-# bitset helpers
-# ----------------------------------------------------------------------
-class TestBitsets:
-    def test_roundtrip(self):
-        ids = [0, 3, 17, 64, 1000]
-        bits = bits_from_ids(ids)
-        assert ids_from_bits(bits) == ids
-        assert bit_count(bits) == len(ids)
-
-    def test_empty(self):
-        assert bits_from_ids([]) == 0
-        assert ids_from_bits(0) == []
-        assert bit_count(0) == 0
-
-    def test_full_mask(self):
-        assert ids_from_bits(full_mask(5)) == [0, 1, 2, 3, 4]
-        assert full_mask(0) == 0
-
-    def test_intersection_matches_sets(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            a = {rng.randrange(200) for _ in range(rng.randrange(50))}
-            b = {rng.randrange(200) for _ in range(rng.randrange(50))}
-            assert ids_from_bits(bits_from_ids(a) & bits_from_ids(b)) == sorted(a & b)
-            assert ids_from_bits(bits_from_ids(a) | bits_from_ids(b)) == sorted(a | b)
-
-    def test_supported_id(self):
-        assert supported_id(5)
-        assert not supported_id(-1)
-        assert not supported_id("5")
-        assert not supported_id(True)
 
 
 # ----------------------------------------------------------------------
@@ -270,33 +214,39 @@ class TestIndexCaches:
             for sigma in (0, 1, 2):
                 warm = small_engine.strategy.candidates(query, sigma)
                 cached = small_engine.strategy.candidates(query, sigma)
-                with optimizations_disabled():
-                    cold = small_engine.strategy.candidates(query, sigma)
+                # a fresh engine has empty plan, fragment and range caches
+                cold = Engine.build(small_db, SMALL_CONFIG).strategy.candidates(
+                    query, sigma
+                )
                 assert warm == cached == cold
 
 
 # ----------------------------------------------------------------------
-# bitset candidate sets vs the set-based reference, randomized
+# candidate sets vs the NaiveSearch oracle, randomized
 # ----------------------------------------------------------------------
-class TestBitsetCandidates:
+class TestCandidateSets:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_pis_and_topo_match_legacy_on_random_databases(self, seed):
+    def test_pis_and_topo_sound_against_oracle(self, seed):
         database = generate_chemical_database(30, seed=seed)
         engine = Engine.build(database, SMALL_CONFIG)
         topo = engine.make_strategy("topoPrune")
         queries = QueryWorkload(database, seed=seed + 50).sample_queries(8, 2)
         for query in queries:
             for sigma in (0, 1, 3):
-                fast_pis = engine.strategy.candidates(query, sigma)
-                fast_topo = topo.candidates(query, sigma)
-                with optimizations_disabled():
-                    slow_pis = engine.strategy.candidates(query, sigma)
-                    slow_topo = topo.candidates(query, sigma)
-                assert fast_pis == slow_pis
-                assert fast_topo == slow_topo
-
-    def test_index_reports_bitset_support(self, small_engine):
-        assert small_engine.index.supports_bitsets
+                ids, distances = oracle_answers(
+                    database, engine.measure, query, sigma
+                )
+                pis = engine.strategy.candidates(query, sigma)
+                structure = topo.candidates(query, sigma)
+                # PIS prunes at least as hard as structure containment and
+                # never prunes a true answer
+                assert pis == sorted(pis)
+                assert set(ids) <= set(pis) <= set(structure)
+                result = engine.search(query, sigma)
+                assert (result.answer_ids, result.answer_distances) == (
+                    ids,
+                    distances,
+                )
 
 
 # ----------------------------------------------------------------------
@@ -317,11 +267,6 @@ class TestParallelBuild:
         assert (
             serial.search(query, 1).answer_ids == parallel.search(query, 1).answer_ids
         )
-
-    def test_parallel_flag_off_falls_back_to_serial(self, small_db):
-        with optimizations_disabled("parallel"):
-            engine = Engine.build(small_db, SMALL_CONFIG, workers=4)
-        assert engine.index.counters.get("index_build.parallel_chunks") == 0
 
 
 # ----------------------------------------------------------------------
@@ -417,9 +362,8 @@ class TestIndexSchema:
         with pytest.raises(Exception):
             index_from_dict(data)
 
-    def test_loaded_engine_supports_bitsets(self, small_engine, small_db):
+    def test_loaded_engine_answers_identically(self, small_engine, small_db):
         reloaded = Engine.from_dict(small_engine.to_dict(), small_db)
-        assert reloaded.index.supports_bitsets
         query = QueryWorkload(small_db, seed=10).sample_queries(8, 1)[0]
         assert (
             reloaded.search(query, 1).answer_ids
@@ -449,8 +393,9 @@ class TestVectorizedScans:
         engine = Engine.build(database, config)
         queries = QueryWorkload(database, seed=13).sample_queries(6, 2)
         for query in queries:
-            for sigma in (0.5, 1.5, 3.0):
-                fast = engine.strategy.candidates(query, sigma)
-                with optimizations_disabled():
-                    slow = engine.strategy.candidates(query, sigma)
-                assert fast == slow
+            for fragment in engine.index.enumerate_query_fragments(query):
+                class_index = engine.index.get_class(fragment.code)
+                for sigma in (0.5, 1.5, 3.0):
+                    fast = class_index.range_query(fragment.sequence, sigma)
+                    slow = class_index.backend.range_query(fragment.sequence, sigma)
+                    assert fast == slow

