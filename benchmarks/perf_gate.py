@@ -32,7 +32,7 @@ Two **sharding workloads** protect the sharded engine (PR 5):
   engine (both cold-cache); answer ids and distances must be byte-identical
   and the speedup must meet ``--min-sharded-speedup`` (default 1.5×).
 * ``sharded_build`` — a 4-shard build in 4 worker processes (enumeration
-  *and* backend insertion parallelized) versus the serial unsharded build;
+  *and* store insertion parallelized) versus the serial unsharded build;
   the parallel-built shards must serialize byte-identically to serially
   built ones and the speedup must meet ``--min-sharded-build-speedup``
   (default 1.0×).
@@ -333,8 +333,6 @@ def run_kernel_workload(environment, name, query_edges, sigmas, rounds, num_shar
         environment.features,
         environment.measure,
         num_shards=num_shards,
-        backend=environment.index.backend_name,
-        backend_options=environment.index.backend_options,
     )
     sharded_engine = Engine.from_index(
         environment.database, sharded_index, executor="serial", kernel="array"
@@ -417,8 +415,6 @@ def run_update_workload(environment, name, churn, query_edges, sigmas):
     rebuilt = FragmentIndex(
         environment.features,
         environment.measure,
-        backend=environment.index.backend_name,
-        backend_options=environment.index.backend_options,
     ).build(database)
     rebuild_seconds = time.perf_counter() - start
 
@@ -496,8 +492,6 @@ def run_sharded_workload(environment, name, query_edges, sigmas, num_shards):
         environment.features,
         environment.measure,
         num_shards=num_shards,
-        backend=environment.index.backend_name,
-        backend_options=environment.index.backend_options,
     )
     sharded_engine = Engine.from_index(
         environment.database, sharded_index, executor="process"
@@ -547,20 +541,16 @@ def run_sharded_build_workload(environment, name, num_shards):
     """Measure a parallel 4-shard build vs the serial unsharded build.
 
     The parallel build constructs whole shards — fragment enumeration *and*
-    backend insertion — in worker processes; it must serialize
+    store insertion — in worker processes; it must serialize
     byte-identically to a serially built sharded index, so the speedup can
     never come from doing different work.
     """
     database = environment.database
     features = environment.features
     measure = environment.measure
-    backend = environment.index.backend_name
-    backend_options = environment.index.backend_options
 
     start = time.perf_counter()
-    FragmentIndex(
-        features, measure, backend=backend, backend_options=backend_options
-    ).build(database)
+    FragmentIndex(features, measure).build(database)
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -569,8 +559,6 @@ def run_sharded_build_workload(environment, name, num_shards):
         features,
         measure,
         num_shards=num_shards,
-        backend=backend,
-        backend_options=backend_options,
         workers=num_shards,
     )
     parallel_seconds = time.perf_counter() - start
@@ -580,8 +568,6 @@ def run_sharded_build_workload(environment, name, num_shards):
         features,
         measure,
         num_shards=num_shards,
-        backend=backend,
-        backend_options=backend_options,
     )
     parallel_payload = json.dumps(index_to_dict(parallel_sharded)).encode("utf-8")
     serial_payload = json.dumps(index_to_dict(serial_sharded)).encode("utf-8")
@@ -863,8 +849,6 @@ def run_global_plan_workload(
         environment.features,
         environment.measure,
         num_shards=num_shards,
-        backend=environment.index.backend_name,
-        backend_options=environment.index.backend_options,
     )
     sharded_engine = Engine.from_index(
         environment.database, sharded_index, executor="serial"

@@ -3,11 +3,10 @@
 
 Example 3 of the paper: when graph elements carry numeric weights (bond
 lengths, distances, charges), the superimposed distance becomes the linear
-mutation distance LD = sum |w - w'| and the per-class index of choice is an
-R-tree over the fragments' weight vectors.  This example builds two engines
-over the same weighted database — one R-tree backed, one with the
-exhaustive linear-scan backend — from configs that differ in a single
-string, and cross-checks them query by query.
+mutation distance LD = sum |w - w'|, and each structural equivalence class
+indexes its fragments' weight vectors for L1 range queries.  This example
+builds an engine over a weighted database and checks every answer, with its
+distance, against the exact naive scan.
 
 Run with::
 
@@ -20,6 +19,7 @@ from repro import (
     Engine,
     EngineConfig,
     LinearMutationDistance,
+    NaiveSearch,
     QueryWorkload,
     generate_weighted_database,
 )
@@ -32,17 +32,17 @@ def main():
     print(f"database: {len(database)} weighted graphs "
           f"(edge weights ~ bond lengths around 1.3-1.6)")
 
-    # --- 2. two engines differing only in the per-class backend --------------
+    # --- 2. the engine ---------------------------------------------------------
     config = EngineConfig(
         selector="paths",
         selector_params={"max_path_edges": 3, "include_cycles": True},
         measure=measure.describe(),
-        backend="rtree",
     )
-    rtree_engine = Engine.build(database, config)
-    linear_engine = Engine.build(database, config.replace(backend="linear"))
-    print(f"index: {rtree_engine.index.num_classes} structure classes, "
-          f"{rtree_engine.index.stats().num_entries} fragment vectors in R-trees")
+    started = time.perf_counter()
+    engine = Engine.build(database, config)
+    print(f"index: {engine.index.num_classes} structure classes, "
+          f"{engine.index.stats().num_entries} fragment vectors, "
+          f"built in {time.perf_counter() - started:.2f}s")
 
     # --- 3. range queries ------------------------------------------------------
     # "Find graphs containing the query structure whose total edge-weight
@@ -50,28 +50,27 @@ def main():
     sigma = 0.4
     queries = QueryWorkload(database, seed=8).sample_queries(num_edges=7, count=4)
 
-    naive = rtree_engine.make_strategy("naive")
+    # the exact answer: every graph verified with the reference search
+    naive = NaiveSearch(database, measure, verifier="legacy", verify_kernel="legacy")
 
     for position, query in enumerate(queries):
         started = time.perf_counter()
-        rtree_result = rtree_engine.search(query, sigma)
-        rtree_seconds = time.perf_counter() - started
-        linear_candidates = linear_engine.strategy.candidates(query, sigma)
-        naive_result = naive.search(query, sigma)
+        result = engine.search(query, sigma)
+        seconds = time.perf_counter() - started
+        expected = naive.search(query, sigma)
 
-        assert rtree_result.candidate_ids == linear_candidates, (
-            "R-tree and linear-scan backends must produce identical candidates"
-        )
-        assert set(naive_result.answer_ids) == set(rtree_result.answer_ids), (
+        assert result.answer_ids == expected.answer_ids, (
             "PIS answers must match the naive scan"
         )
+        assert result.answer_distances == expected.answer_distances, (
+            "PIS answer distances must match the naive scan"
+        )
         print(f"query {position}: sigma={sigma}  "
-              f"candidates={rtree_result.num_candidates}/{len(database)}  "
-              f"answers={rtree_result.num_answers}  "
-              f"time={rtree_seconds:.2f}s  (R-tree == linear scan: ok)")
+              f"candidates={result.num_candidates}/{len(database)}  "
+              f"answers={result.num_answers}  "
+              f"time={seconds:.2f}s  (== naive scan: ok)")
 
-    print("all queries verified against the naive scan "
-          "and the linear-scan reference backend")
+    print("all queries verified against the naive scan")
 
 
 if __name__ == "__main__":

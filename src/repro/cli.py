@@ -72,7 +72,7 @@ Example session::
 or, with a declarative engine config::
 
     echo '{"selector": "exhaustive", "selector_params": {"max_edges": 5},
-           "backend": "trie", "strategy": "pis"}' > config.json
+           "strategy": "pis"}' > config.json
     pis index --database db.json --config config.json --engine-output engine.json
 """
 
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--config",
         type=Path,
         help="engine config JSON; cannot be combined with the individual "
-        "selector/backend flags below",
+        "selector flags below",
     )
     index.add_argument(
         "--max-edges", type=int, help="max fragment size (default 4)"
@@ -129,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument(
         "--max-features", type=int, help="feature cap (default 250)"
     )
-    index.add_argument("--backend", help="per-class backend (default trie)")
     index.add_argument(
         "--workers",
         type=int,
@@ -482,7 +481,6 @@ def _command_index(arguments: argparse.Namespace) -> int:
             ("--max-edges", arguments.max_edges),
             ("--min-support", arguments.min_support),
             ("--max-features", arguments.max_features),
-            ("--backend", arguments.backend),
         )
         if value is not None
     ]
@@ -509,7 +507,6 @@ def _command_index(arguments: argparse.Namespace) -> int:
                 ),
                 "sample_size": min(50, len(database)),
             },
-            backend=arguments.backend if arguments.backend is not None else "trie",
         )
     if arguments.executor is not None:
         config = config.replace(executor=arguments.executor)

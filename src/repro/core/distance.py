@@ -23,10 +23,10 @@ A measure exposes three views used by different parts of the system:
     cost of a concrete superposition (used by verification),
 ``sequence_distance``
     distance between two label/weight sequences read in the same canonical
-    order (used by the per-class index backends),
+    order (used by the per-class index stores),
 ``vectorize``
-    optional numeric vector for spatial indexes (R-tree); only the linear
-    measure supports it.
+    optional numeric vector for the vectorized L1 scans of the per-class
+    vector store; only the linear measure supports it.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ class DistanceMeasure:
         return table
 
     # ------------------------------------------------------------------
-    # element annotations (used by the index backends)
+    # element annotations (used by the index stores)
     # ------------------------------------------------------------------
     def vertex_annotation(self, graph: LabeledGraph, vertex: Hashable) -> Any:
         """Value stored per vertex in index sequences (label or weight)."""
@@ -266,7 +266,7 @@ class DistanceMeasure:
         return sum(self.annotation_distance(x, y) for x, y in zip(a, b))
 
     def supports_vectorization(self) -> bool:
-        """Return ``True`` if annotations are numeric (R-tree friendly)."""
+        """Return ``True`` if annotations are numeric (vector-store friendly)."""
         return False
 
     def vectorize(self, sequence: Sequence[Any]) -> Tuple[float, ...]:
@@ -417,7 +417,7 @@ class LinearMutationDistance(DistanceMeasure):
 
     The per-element cost is ``|w - w'|``; elements without an explicit
     weight default to 0.  Annotation sequences are numeric, so this measure
-    supports vectorization and can be indexed with an R-tree.
+    supports vectorization and is indexed by vectorized L1 scans.
     """
 
     name = "linear"

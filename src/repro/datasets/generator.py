@@ -169,7 +169,7 @@ class ChemicalGraphGenerator:
 
 
 class WeightedGraphGenerator:
-    """Generates graphs whose edges carry numeric weights (for LD / R-tree).
+    """Generates graphs whose edges carry numeric weights (for LD).
 
     The topology comes from :class:`ChemicalGraphGenerator`; every edge
     additionally receives a weight drawn from a Gaussian whose mean depends

@@ -2,13 +2,12 @@
 
 An :class:`EngineConfig` captures every choice that goes into building and
 querying a PIS engine — which feature selector picks the indexed
-structures, which per-class backend answers range queries, which distance
-measure defines the semantics, and which search strategy (with which
+structures, which distance measure defines the semantics (and with it each
+class's range-query store), and which search strategy (with which
 parameters) answers queries — as plain data.  Components are referenced by
 their registry names (:func:`repro.mining.make_selector`,
-:func:`repro.index.make_backend`, :func:`repro.search.make_strategy`), so a
-config round-trips through JSON and an engine saved to disk can be rebuilt
-with identical behaviour.
+:func:`repro.search.make_strategy`), so a config round-trips through JSON
+and an engine saved to disk can be rebuilt with identical behaviour.
 """
 
 from __future__ import annotations
@@ -24,6 +23,11 @@ from ..index.persistence import measure_from_dict, measure_to_dict
 
 __all__ = ["EngineConfig"]
 
+#: keys of earlier configs that chose the per-class range-query store;
+#: the measure decides it now, so :meth:`EngineConfig.from_dict` drops them
+#: and saved configs that carry them keep loading
+_RETIRED_KEYS = ("backend", "backend_options", "rebuild_threshold")
+
 
 @dataclass
 class EngineConfig:
@@ -34,19 +38,11 @@ class EngineConfig:
     selector / selector_params:
         Registry name of the feature selector plus its constructor
         parameters (e.g. ``"exhaustive"`` with ``{"max_edges": 4}``).
-    backend / backend_options:
-        Per-class range-query backend name (``"trie"``, ``"rtree"``,
-        ``"vptree"``, ``"linear"`` or ``"auto"``) and its options.
-    rebuild_threshold:
-        Tombstoned-entry fraction above which lazily-deleting backends
-        (the R-tree) compact themselves after :meth:`repro.engine.Engine.\
-remove_graphs` (see :mod:`repro.index.backends`).  ``None`` keeps each
-        backend's default; a set value is injected into
-        ``backend_options`` at build time.
     measure:
         Serialized distance measure (:func:`repro.index.measure_to_dict`
         output) or ``None`` for the paper's default edge-label mutation
-        distance.
+        distance.  It also picks each class's range-query store: a trie
+        for the mutation distance, a vector store for the linear one.
     strategy / strategy_params:
         Registry name of the search strategy plus its constructor
         parameters (e.g. ``"pis"`` with ``{"partition_method": "exact"}``).
@@ -142,9 +138,6 @@ start`); ``0`` disables it even there.  Entries are keyed by query
 
     selector: str = "exhaustive"
     selector_params: Dict[str, Any] = field(default_factory=dict)
-    backend: str = "auto"
-    backend_options: Dict[str, Any] = field(default_factory=dict)
-    rebuild_threshold: Optional[float] = None
     measure: Optional[Dict[str, Any]] = None
     strategy: str = "pis"
     strategy_params: Dict[str, Any] = field(default_factory=dict)
@@ -174,17 +167,6 @@ start`); ``0`` disables it even there.  Entries are keyed by query
             )
         if self.shards < 1:
             raise EngineConfigError(f"shards must be >= 1, got {self.shards}")
-        if self.rebuild_threshold is not None:
-            if (
-                isinstance(self.rebuild_threshold, bool)
-                or not isinstance(self.rebuild_threshold, (int, float))
-                or not 0.0 < self.rebuild_threshold <= 1.0
-            ):
-                raise EngineConfigError(
-                    "rebuild_threshold must be a number in (0, 1] or None, "
-                    f"got {self.rebuild_threshold!r}"
-                )
-            self.rebuild_threshold = float(self.rebuild_threshold)
         if not isinstance(self.verifier, str) or not self.verifier:
             raise EngineConfigError(
                 f"verifier must be a non-empty string, got {self.verifier!r}"
@@ -249,13 +231,13 @@ start`); ``0`` disables it even there.  Entries are keyed by query
                 raise EngineConfigError(
                     f"{attribute} must be an int >= {minimum}, got {value!r}"
                 )
-        for attribute in ("selector", "backend", "strategy", "executor"):
+        for attribute in ("selector", "strategy", "executor"):
             value = getattr(self, attribute)
             if not isinstance(value, str) or not value:
                 raise EngineConfigError(
                     f"{attribute} must be a non-empty string, got {value!r}"
                 )
-        for attribute in ("selector_params", "backend_options", "strategy_params"):
+        for attribute in ("selector_params", "strategy_params"):
             value = getattr(self, attribute)
             if not isinstance(value, dict):
                 raise EngineConfigError(
@@ -285,17 +267,6 @@ start`); ``0`` disables it even there.  Entries are keyed by query
             return default_edge_mutation_distance()
         return measure_from_dict(self.measure)
 
-    def resolved_backend_options(self) -> Dict[str, Any]:
-        """Backend options with the config-level knobs folded in.
-
-        ``rebuild_threshold`` is injected unless ``backend_options``
-        already pins one explicitly (the narrower setting wins).
-        """
-        options = copy.deepcopy(self.backend_options)
-        if self.rebuild_threshold is not None:
-            options.setdefault("rebuild_threshold", self.rebuild_threshold)
-        return options
-
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
@@ -308,9 +279,6 @@ start`); ``0`` disables it even there.  Entries are keyed by query
         return {
             "selector": self.selector,
             "selector_params": copy.deepcopy(self.selector_params),
-            "backend": self.backend,
-            "backend_options": copy.deepcopy(self.backend_options),
-            "rebuild_threshold": self.rebuild_threshold,
             "measure": copy.deepcopy(self.measure),
             "strategy": self.strategy,
             "strategy_params": copy.deepcopy(self.strategy_params),
@@ -335,12 +303,15 @@ start`); ``0`` disables it even there.  Entries are keyed by query
         """Rebuild a config from :meth:`to_dict` output.
 
         Unknown keys are rejected so that typos in hand-written config
-        files fail loudly instead of being silently ignored.
+        files fail loudly instead of being silently ignored.  The retired
+        store-selection keys (``backend``, ``backend_options``,
+        ``rebuild_threshold``) are dropped, so older saved configs load.
         """
         if not isinstance(data, dict):
             raise EngineConfigError(
                 f"engine config must be a dict, got {type(data).__name__}"
             )
+        data = {key: value for key, value in data.items() if key not in _RETIRED_KEYS}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -477,7 +477,7 @@ class Engine:
         enumeration — the dominant build cost — across a process pool
         (:meth:`repro.index.FragmentIndex.build`).  With ``shards > 1``,
         whole shards build in parallel worker processes instead —
-        enumeration *and* backend insertion
+        enumeration *and* store insertion
         (:meth:`repro.index.ShardedFragmentIndex.build`).  Either way the
         result is identical to a serial build.
         """
@@ -497,18 +497,11 @@ class Engine:
                     features,
                     measure,
                     num_shards=config.shards,
-                    backend=config.backend,
-                    backend_options=config.resolved_backend_options(),
                     workers=workers,
                 )
             )
         else:
-            index = FragmentIndex(
-                features,
-                measure,
-                backend=config.backend,
-                backend_options=config.resolved_backend_options(),
-            ).build(database, workers=workers)
+            index = FragmentIndex(features, measure).build(database, workers=workers)
         return cls(database, config, index)
 
     @classmethod
@@ -532,9 +525,7 @@ class Engine:
             config = EngineConfig(selector="prebuilt")
         if overrides:
             config = config.replace(**overrides)
-        config = config.replace(
-            measure=measure_to_dict(index.measure), backend=index.backend_name
-        )
+        config = config.replace(measure=measure_to_dict(index.measure))
         if isinstance(index, ShardedFragmentIndex):
             # The index is the ground truth for the sharding topology.
             config = config.replace(shards=index.num_shards)

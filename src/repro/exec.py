@@ -436,7 +436,7 @@ class ProcessExecutor(Executor):
 
 
 # ----------------------------------------------------------------------
-# registry (mirrors repro.search.registry / repro.index.backends)
+# registry (mirrors repro.search.registry)
 # ----------------------------------------------------------------------
 _EXECUTORS: Dict[str, type] = {}
 

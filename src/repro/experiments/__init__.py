@@ -1,6 +1,6 @@
 """Experiment harness: regenerates every table and figure of the paper."""
 
-from .ablation import backend_ablation, mwis_ablation, timing_breakdown
+from .ablation import mwis_ablation, timing_breakdown
 from .config import ExperimentConfig, paper_scaled_config, smoke_config
 from .dataset_stats import dataset_statistics
 from .example1 import example1_table
@@ -44,6 +44,5 @@ __all__ = [
     "example1_table",
     "timing_breakdown",
     "mwis_ablation",
-    "backend_ablation",
     "generate_report",
 ]

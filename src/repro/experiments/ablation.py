@@ -1,6 +1,6 @@
 """Ablations and secondary claims of the paper.
 
-Beyond the five candidate-count figures, Section 5 and Section 7 make three
+Beyond the five candidate-count figures, Section 5 and Section 7 make two
 quantitative claims that the benchmark suite also reproduces:
 
 * **Pruning cost vs. verification cost** — "The pruning process in PIS takes
@@ -12,30 +12,19 @@ quantitative claims that the benchmark suite also reproduces:
   set at 2) has comparable performance with Greedy() in real datasets."
   :func:`mwis_ablation` compares the partition weights (the MWIS objective)
   achieved by the three solvers on real query overlap graphs.
-* **Backend choice** (Example 3) — the R-tree answers the same range queries
-  as a linear scan for the linear mutation distance; :func:`backend_ablation`
-  verifies agreement and compares entry counts across backends.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Sequence
+from typing import Optional
 
-from ..core.distance import LinearMutationDistance
-from ..datasets.generator import generate_weighted_database
-from ..datasets.queries import QueryWorkload
-from ..index.fragment_index import FragmentIndex
-from ..mining.paths import PathFeatureSelector
 from ..search.mwis import enhanced_greedy_mwis, exact_mwis, greedy_mwis
 from ..search.overlap_graph import OverlapGraph
-from ..search.pis import PISearch
-from ..search.selectivity import SelectivityEstimator
 from .config import ExperimentConfig, paper_scaled_config
-from .harness import Environment, build_environment
+from .harness import build_environment
 from .report import Table
 
-__all__ = ["timing_breakdown", "mwis_ablation", "backend_ablation"]
+__all__ = ["timing_breakdown", "mwis_ablation"]
 
 
 def timing_breakdown(
@@ -145,57 +134,3 @@ def mwis_ablation(
         )
     return table
 
-
-def backend_ablation(
-    num_graphs: int = 60,
-    seed: int = 19,
-    sigma: float = 0.5,
-    num_queries: int = 5,
-    query_edges: int = 6,
-) -> Table:
-    """E9: R-tree vs VP-tree vs linear scan on the linear mutation distance.
-
-    Builds a weighted database (Example 3 in the paper), indexes path
-    fragments under each backend, and checks that every backend returns the
-    same range-query results while reporting index sizes and query times.
-    """
-    database = generate_weighted_database(num_graphs, seed=seed)
-    measure = LinearMutationDistance(include_vertices=False, include_edges=True)
-    features = PathFeatureSelector(max_path_edges=3, include_cycles=True).select(
-        database
-    )
-    workload = QueryWorkload(database, seed=seed + 1)
-    queries = workload.sample_queries(query_edges, num_queries)
-
-    table = Table(
-        title=f"Per-class backend ablation (linear mutation distance, sigma={sigma:g})",
-        columns=["backend", "entries", "avg candidates", "avg filter time (s)", "agrees with linear"],
-    )
-    reference: Optional[List[List[int]]] = None
-    for backend in ("linear", "rtree", "vptree"):
-        index = FragmentIndex(features, measure, backend=backend).build(database)
-        pis = PISearch(index, database)
-        per_query_candidates: List[List[int]] = []
-        start = time.perf_counter()
-        for query in queries:
-            per_query_candidates.append(pis.candidates(query, sigma))
-        elapsed = time.perf_counter() - start
-        if backend == "linear":
-            reference = per_query_candidates
-            agrees = True
-        else:
-            agrees = per_query_candidates == reference
-        table.add_row(
-            [
-                backend,
-                index.stats().num_entries,
-                round(
-                    sum(len(c) for c in per_query_candidates)
-                    / max(1, len(per_query_candidates)),
-                    1,
-                ),
-                round(elapsed / max(1, len(queries)), 4),
-                "yes" if agrees else "NO",
-            ]
-        )
-    return table

@@ -53,8 +53,6 @@ class ExperimentConfig:
         defaults here are scaled to the structure-filter strength achievable
         with the smaller exhaustive feature set, so queries spread over the
         buckets the same way they do in the paper's figures.
-    backend:
-        Per-class index backend.
     """
 
     database_size: int = 300
@@ -67,7 +65,6 @@ class ExperimentConfig:
     queries_per_set: int = 15
     query_seed: int = 42
     bucket_fractions: Tuple[float, ...] = (0.22, 0.30, 0.42, 0.60, 0.80)
-    backend: str = "trie"
 
     def bucket_labels(self) -> Tuple[str, ...]:
         """Human-readable bucket labels matching the paper's figure axes."""

@@ -161,9 +161,9 @@ def figure12(
             seed=base_config.database_seed,
         )
         features = selector.select(environment.database)
-        index = FragmentIndex(
-            features, environment.measure, backend=base_config.backend
-        ).build(environment.database)
+        index = FragmentIndex(features, environment.measure).build(
+            environment.database
+        )
         records = collect_query_records(
             environment, query_edges, [sigma], index=index
         )

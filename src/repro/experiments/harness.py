@@ -111,7 +111,7 @@ def _build_environment_cached(config: ExperimentConfig) -> Environment:
     )
     measure = default_edge_mutation_distance()
     features = select_features(database, config)
-    index = FragmentIndex(features, measure, backend=config.backend).build(database)
+    index = FragmentIndex(features, measure).build(database)
     workload = QueryWorkload(database, seed=config.query_seed)
     return Environment(
         config=config,

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from .ablation import backend_ablation, mwis_ablation, timing_breakdown
+from .ablation import mwis_ablation, timing_breakdown
 from .config import ExperimentConfig, paper_scaled_config
 from .dataset_stats import dataset_statistics
 from .example1 import example1_table
@@ -92,7 +92,6 @@ def generate_report(
     add(figure12(config))
     add(timing_breakdown(config))
     add(mwis_ablation(config))
-    add(backend_ablation())
 
     elapsed = time.time() - started
     sections.append(

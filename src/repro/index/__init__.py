@@ -1,12 +1,5 @@
-"""Fragment-based index: sequencers, range-query backends, class indexes."""
+"""Fragment-based index: sequencers, per-class range-query stores, class indexes."""
 
-from .backends import (
-    ClassIndexBackend,
-    LinearScanBackend,
-    available_backends,
-    make_backend,
-    register_backend,
-)
 from .class_index import EquivalenceClassIndex
 from .fragment_index import FragmentIndex, IndexStats, QueryFragment
 from .persistence import (
@@ -17,7 +10,6 @@ from .persistence import (
     measure_to_dict,
     save_index,
 )
-from .rtree import RTreeBackend, Rect
 from .sequence import FragmentSequencer
 from .sharded import (
     ShardDatabaseView,
@@ -27,18 +19,9 @@ from .sharded import (
     shard_of,
 )
 from .trie import TrieBackend
-from .vptree import VPTreeBackend
 
 __all__ = [
-    "ClassIndexBackend",
-    "LinearScanBackend",
     "TrieBackend",
-    "RTreeBackend",
-    "Rect",
-    "VPTreeBackend",
-    "make_backend",
-    "register_backend",
-    "available_backends",
     "FragmentSequencer",
     "EquivalenceClassIndex",
     "FragmentIndex",

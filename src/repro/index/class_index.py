@@ -5,35 +5,34 @@ structural equivalence class (Definition 4) with
 
 * a :class:`~repro.index.sequence.FragmentSequencer` that turns fragment
   occurrences into annotation sequences, and
-* a range-query backend (trie / R-tree / VP-tree / linear scan) storing
-  ``(sequence, graph id)`` entries.
+* one range-query store holding ``(sequence, graph id)`` entries, chosen
+  from the measure: a :class:`~repro.index.trie.TrieBackend` for the
+  mutation distance and a :class:`_VectorStore` for the vectorizable
+  linear mutation distance (the paper's Example 3).
 
 The class answers the two questions PIS asks during search (Eq. 3 and
 Algorithm 2, lines 9–17): *which database graphs contain a fragment of this
 class within distance sigma of a query fragment, and at what minimum
 distance?*  It also tracks which database graphs contain the structure at
 all, which is what topoPrune and the structure-violation rule use.
-
-For vectorizable measures (linear mutation distance) every inserted
-sequence is also kept in a flat pre-vectorized array, and range queries run
-as one numpy L1 scan over that array instead of a per-entry Python loop.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Set, Tuple, Union
 
 import numpy as _np
 
 from ..core.canonical import CanonicalCode
 from ..core.distance import DistanceMeasure
 from ..core.graph import LabeledGraph
-from .backends import ClassIndexBackend, make_backend
 from .sequence import FragmentSequencer
+from .trie import TrieBackend
 
 __all__ = ["EquivalenceClassIndex"]
 
 AnnotationSequence = Tuple[Any, ...]
+Vector = Tuple[float, ...]
 
 #: Below this many stored vectors the scalar loop beats the numpy pass —
 #: array construction and ufunc dispatch cost more than the whole scan.
@@ -47,30 +46,49 @@ class _VectorStore:
     """Pre-vectorized annotation arrays for one equivalence class.
 
     Keeps every inserted occurrence as a numeric vector (via
-    :meth:`DistanceMeasure.vectorize`) plus the owning graph id, and answers
-    L1 range queries with one vectorized pass.  The numpy matrix is built
-    lazily and invalidated on insert.
+    :meth:`DistanceMeasure.vectorize`) plus the owning graph id — one scan
+    row per occurrence — and answers L1 range queries with one vectorized
+    pass.  The numpy matrix is built lazily and invalidated on every
+    change.  The distinct ``(vector, graph_id)`` entries are tracked per
+    graph beside the rows, for :meth:`entries`, ``len()`` and removal.
     """
 
-    __slots__ = ("_vectors", "_graph_ids", "_matrix")
+    __slots__ = (
+        "measure",
+        "_vectors",
+        "_graph_ids",
+        "_matrix",
+        "_by_graph",
+        "_num_entries",
+    )
 
-    def __init__(self):
-        self._vectors: List[Tuple[float, ...]] = []
+    def __init__(self, measure: DistanceMeasure):
+        self.measure = measure
+        self._vectors: List[Vector] = []
         self._graph_ids: List[int] = []
         self._matrix = None
+        self._by_graph: Dict[int, Set[Vector]] = {}
+        self._num_entries = 0
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        """Number of distinct ``(vector, graph_id)`` entries."""
+        return self._num_entries
 
-    def add(self, vector: Tuple[float, ...], graph_id: int) -> None:
+    def insert(self, sequence: AnnotationSequence, graph_id: int) -> None:
+        vector = self.measure.vectorize(sequence)
         self._vectors.append(vector)
         self._graph_ids.append(graph_id)
         self._matrix = None
+        distinct = self._by_graph.setdefault(graph_id, set())
+        if vector not in distinct:
+            distinct.add(vector)
+            self._num_entries += 1
 
-    def remove(self, graph_id: int) -> None:
-        """Drop every vector owned by ``graph_id``."""
-        if graph_id not in self._graph_ids:
-            return
+    def delete(self, graph_id: int) -> int:
+        """Drop every row of ``graph_id``; return its distinct-entry count."""
+        distinct = self._by_graph.pop(graph_id, None)
+        if distinct is None:
+            return 0
         kept = [
             (vector, owner)
             for vector, owner in zip(self._vectors, self._graph_ids)
@@ -79,14 +97,22 @@ class _VectorStore:
         self._vectors = [vector for vector, _ in kept]
         self._graph_ids = [owner for _, owner in kept]
         self._matrix = None
+        self._num_entries -= len(distinct)
+        return len(distinct)
+
+    def entries(self) -> Iterator[Tuple[Vector, int]]:
+        for graph_id, vectors in self._by_graph.items():
+            for vector in vectors:
+                yield vector, graph_id
 
     def range_query(
-        self, point: Tuple[float, ...], radius: float
+        self, sequence: AnnotationSequence, radius: float
     ) -> Dict[int, float]:
         """``{graph_id: min L1 distance}`` over all stored vectors."""
         results: Dict[int, float] = {}
         if not self._vectors:
             return results
+        point = self.measure.vectorize(sequence)
         if len(self._vectors) > _SCALAR_SCAN_MAX:
             if self._matrix is None:
                 self._matrix = _np.asarray(self._vectors, dtype=float)
@@ -112,19 +138,15 @@ class _VectorStore:
 class EquivalenceClassIndex:
     """Range-query index for the fragments of one structural class."""
 
-    def __init__(
-        self,
-        code: CanonicalCode,
-        measure: DistanceMeasure,
-        backend: str = "auto",
-        backend_options: Optional[Dict[str, Any]] = None,
-    ):
+    def __init__(self, code: CanonicalCode, measure: DistanceMeasure):
         self.code = code
         self.measure = measure
         self.sequencer = FragmentSequencer(code)
-        self.backend_name = backend
-        self.backend: ClassIndexBackend = make_backend(
-            backend, measure, **(backend_options or {})
+        #: the class's one range-query store, chosen from the measure
+        self.store: Union[TrieBackend, _VectorStore] = (
+            _VectorStore(measure)
+            if measure.supports_vectorization()
+            else TrieBackend(measure)
         )
         # graphs that contain at least one occurrence of this structure
         self._containing_graphs: Set[int] = set()
@@ -132,9 +154,6 @@ class EquivalenceClassIndex:
         # per-graph occurrence counts, so removing a graph can return the
         # class totals to exactly what a build without it would report
         self._occurrences_by_graph: Dict[int, int] = {}
-        self._vector_store: Optional[_VectorStore] = (
-            _VectorStore() if measure.supports_vectorization() else None
-        )
 
     # ------------------------------------------------------------------
     # construction
@@ -143,11 +162,6 @@ class EquivalenceClassIndex:
     def skeleton(self) -> LabeledGraph:
         """Canonical skeleton of the class (vertices are DFS indices)."""
         return self.sequencer.skeleton
-
-    def _store(self, sequence: AnnotationSequence, graph_id: int) -> None:
-        self.backend.insert(sequence, graph_id)
-        if self._vector_store is not None:
-            self._vector_store.add(self.measure.vectorize(sequence), graph_id)
 
     def index_graph(self, graph_id: int, graph: LabeledGraph) -> int:
         """Index every occurrence of this class's structure in ``graph``.
@@ -171,7 +185,7 @@ class EquivalenceClassIndex:
         indexes.
         """
         for sequence in sequences:
-            self._store(sequence, graph_id)
+            self.store.insert(sequence, graph_id)
         if sequences:
             self._containing_graphs.add(graph_id)
             self._num_occurrences += len(sequences)
@@ -182,7 +196,7 @@ class EquivalenceClassIndex:
 
     def insert_sequence(self, sequence: AnnotationSequence, graph_id: int) -> None:
         """Insert a pre-computed occurrence sequence (used when loading)."""
-        self._store(tuple(sequence), graph_id)
+        self.store.insert(tuple(sequence), graph_id)
         self._containing_graphs.add(graph_id)
         self._num_occurrences += 1
         self._occurrences_by_graph[graph_id] = (
@@ -192,17 +206,14 @@ class EquivalenceClassIndex:
     def remove_graph(self, graph_id: int) -> int:
         """Remove every indexed occurrence of ``graph_id`` from this class.
 
-        Updates the backend, the containing-graph set, the vectorized scan
-        arrays, and the occurrence counts.
-        Returns the number of distinct backend entries removed (0 if the
-        graph never contained this structure).
+        Updates the store, the containing-graph set, and the occurrence
+        counts.  Returns the number of distinct store entries removed (0 if
+        the graph never contained this structure).
         """
         if graph_id not in self._containing_graphs:
             return 0
-        removed = self.backend.delete(graph_id)
+        removed = self.store.delete(graph_id)
         self._containing_graphs.discard(graph_id)
-        if self._vector_store is not None:
-            self._vector_store.remove(graph_id)
         per_graph_total = sum(self._occurrences_by_graph.values())
         occurrences = self._occurrences_by_graph.pop(graph_id, removed)
         if self._num_occurrences == per_graph_total:
@@ -238,15 +249,8 @@ class EquivalenceClassIndex:
         This evaluates ``d(g, G)`` of Eq. (3) restricted to this class: the
         minimum, over the stored occurrences of each graph, of the sequence
         distance to the query fragment — reported only when ``<= sigma``.
-
-        For vectorizable measures the scan runs over the pre-vectorized
-        annotation arrays (one vectorized pass).
         """
-        if self._vector_store is not None:
-            return self._vector_store.range_query(
-                self.measure.vectorize(tuple(sequence)), sigma
-            )
-        return self.backend.range_query(tuple(sequence), sigma)
+        return self.store.range_query(tuple(sequence), sigma)
 
     def containing_graphs(self) -> Set[int]:
         """Graphs containing at least one occurrence of the structure."""
@@ -264,16 +268,19 @@ class EquivalenceClassIndex:
 
     @property
     def num_entries(self) -> int:
-        """Number of distinct ``(sequence, graph_id)`` entries in the backend."""
-        return len(self.backend)
+        """Number of distinct ``(sequence, graph_id)`` entries in the store."""
+        return len(self.store)
 
     def entries(self) -> Iterator[Tuple[AnnotationSequence, int]]:
-        """Iterate over stored ``(sequence, graph_id)`` entries."""
-        return self.backend.entries()
+        """Iterate over stored ``(sequence, graph_id)`` entries.
+
+        The vector store yields each sequence in its vectorized form.
+        """
+        return self.store.entries()
 
     def __repr__(self) -> str:
         return (
             f"<EquivalenceClassIndex edges={self.sequencer.num_edges} "
             f"graphs={self.num_containing_graphs} entries={self.num_entries} "
-            f"backend={self.backend.name}>"
+            f"store={type(self.store).__name__}>"
         )

@@ -164,24 +164,12 @@ class FragmentIndex:
     measure:
         The superimposed distance measure the index is built for.  The
         measure decides what is stored per fragment (labels vs. weights) and
-        which backend ``"auto"`` selects.
-    backend:
-        Backend name: ``"trie"``, ``"rtree"``, ``"vptree"``, ``"linear"`` or
-        ``"auto"`` (trie for categorical measures, R-tree for numeric ones).
-    backend_options:
-        Extra keyword arguments forwarded to the backend constructor.
+        which store each class uses (a trie for categorical measures, a
+        vector store for numeric ones).
     """
 
-    def __init__(
-        self,
-        features: Iterable[LabeledGraph],
-        measure: DistanceMeasure,
-        backend: str = "auto",
-        backend_options: Optional[Dict[str, Any]] = None,
-    ):
+    def __init__(self, features: Iterable[LabeledGraph], measure: DistanceMeasure):
         self.measure = measure
-        self.backend_name = backend
-        self.backend_options = dict(backend_options or {})
         self._classes: Dict[CanonicalCode, EquivalenceClassIndex] = {}
         self._num_graphs = 0
         self._removed_ids: set = set()
@@ -266,12 +254,7 @@ class FragmentIndex:
             raise ValueError("feature structures must contain at least one edge")
         code = structure_code(feature)
         if code not in self._classes:
-            self._classes[code] = EquivalenceClassIndex(
-                code,
-                self.measure,
-                backend=self.backend_name,
-                backend_options=self.backend_options,
-            )
+            self._classes[code] = EquivalenceClassIndex(code, self.measure)
             self._mark_mutation()
         return code
 
@@ -455,13 +438,13 @@ class FragmentIndex:
     def remove_graph(self, graph_id: int) -> int:
         """Remove one graph from every equivalence class.
 
-        Posting lists, occurrence counts, vectorized scan arrays, and
-        backend entries are updated in place; the id is retired (it
-        stays out of candidate fallbacks until explicitly re-added).  All
+        Posting lists, occurrence counts, and per-class store entries are
+        updated in place; the id is retired (it stays out of candidate
+        fallbacks until explicitly re-added).  All
         memo caches — including the exact-distance cache, whose entries
         describe the graph being removed — are invalidated.
 
-        Returns the number of distinct backend entries removed.  Removing
+        Returns the number of distinct store entries removed.  Removing
         an id that is not live raises
         :class:`~repro.core.errors.IndexError_`.
         """
@@ -484,7 +467,7 @@ class FragmentIndex:
         return removed
 
     def remove_graphs(self, graph_ids: Iterable[int]) -> int:
-        """Remove several graphs; returns total backend entries removed."""
+        """Remove several graphs; returns total store entries removed."""
         return sum(self.remove_graph(graph_id) for graph_id in list(graph_ids))
 
     # ------------------------------------------------------------------

@@ -4,8 +4,10 @@ The paper's index stores only fragment sequences and graph identifiers —
 never the database graphs themselves — so an index is naturally
 serializable: per equivalence class we keep the class skeleton (as an edge
 list over DFS indices) and the list of ``(sequence, [graph ids])`` entries,
-plus a description of the distance measure and backend so the index can be
-rebuilt with identical behaviour.
+plus a description of the distance measure so the index can be rebuilt with
+identical behaviour.  The measure alone picks each class's range-query
+store; documents of schema 1–5 written while the store was configurable
+still carry ``"backend"`` / ``"backend_options"`` keys, which load ignored.
 
 Only JSON-scalar annotations (strings, numbers, booleans) are supported,
 which covers both paper measures (categorical labels and numeric weights).
@@ -71,7 +73,7 @@ def measure_from_dict(data: Dict[str, Any]) -> DistanceMeasure:
 
 #: current index schema version.  Version 2 added the per-class occurrence
 #: count — version 1 conflated it with the distinct-entry count on reload,
-#: because duplicate sequences collapse in the backend — so a loaded index
+#: because duplicate sequences collapse in the store — so a loaded index
 #: reports statistics identical to the index that was saved.  Version 3
 #: adds the incremental-update state: the retired (tombstoned) graph ids,
 #: the mutation generation counter, and per-class *per-graph* occurrence
@@ -103,8 +105,6 @@ def _sharded_manifest(index: ShardedFragmentIndex) -> Dict[str, Any]:
         "format": "pis-fragment-index",
         "version": SHARDED_INDEX_SCHEMA_VERSION,
         "measure": measure_to_dict(index.measure),
-        "backend": index.backend_name,
-        "backend_options": dict(index.backend_options),
         "num_graphs": index.num_graphs,
         "sharding": {"num_shards": index.num_shards, "assignment": "modulo"},
     }
@@ -165,7 +165,7 @@ def index_to_dict(
                     for graph_id in sorted(occurrences)
                 ],
                 # Entries are written in a canonical (sorted) order, not the
-                # backend's insertion order: insertion order is sensitive to
+                # store's insertion order: insertion order is sensitive to
                 # set-iteration details that a pickle round-trip can change,
                 # and a canonical form lets serially and parallel-built
                 # indexes of identical content serialize byte-identically.
@@ -182,8 +182,6 @@ def index_to_dict(
         "format": "pis-fragment-index",
         "version": INDEX_SCHEMA_VERSION,
         "measure": measure_to_dict(index.measure),
-        "backend": index.backend_name,
-        "backend_options": dict(index.backend_options),
         "num_graphs": index.num_graphs,
         "removed_ids": sorted(index.removed_graph_ids),
         "generation": index.generation,
@@ -242,12 +240,7 @@ def index_from_dict(
             [index_from_dict(payload, strict=strict) for payload in shard_payloads]
         )
     measure = measure_from_dict(data.get("measure", {}))
-    index = FragmentIndex(
-        features=[],
-        measure=measure,
-        backend=data.get("backend", "auto"),
-        backend_options=data.get("backend_options"),
-    )
+    index = FragmentIndex(features=[], measure=measure)
     for class_data in data.get("classes", []):
         skeleton = LabeledGraph.from_dict(class_data["skeleton"])
         code = index.add_feature(skeleton)

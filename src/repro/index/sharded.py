@@ -75,15 +75,13 @@ def _build_shard_task(payload: Tuple) -> FragmentIndex:
 
     Unlike the enumeration-only parallel build of
     :meth:`FragmentIndex.build`, the *entire* shard — fragment enumeration
-    **and** backend insertion — happens in the worker, so sharded builds
+    **and** store insertion — happens in the worker, so sharded builds
     finally parallelize insertion too.  :meth:`FragmentIndex.add_graph` (not
     ``index_graph``) retires the id gaps between a shard's own graphs, which
     is what keeps foreign ids out of the shard's candidate fallbacks.
     """
-    features, measure, backend, backend_options, items = payload
-    shard = FragmentIndex(
-        features, measure, backend=backend, backend_options=backend_options
-    )
+    features, measure, items = payload
+    shard = FragmentIndex(features, measure)
     for graph_id, graph in items:
         shard.add_graph(graph_id, graph)
     # An empty shard of an empty (or tiny) database is still "built": it
@@ -258,7 +256,7 @@ class _MergedClassView:
 
     @property
     def num_entries(self) -> int:
-        """Total distinct backend entries across all shards."""
+        """Total distinct store entries across all shards."""
         return sum(c.num_entries for c in self._classes)
 
     @property
@@ -310,7 +308,7 @@ class ShardedFragmentIndex:
 
     Build one with :meth:`build` (partitioning a database) or construct it
     around already-built shards (persistence does).  Every shard must share
-    the same feature classes, measure, and backend; shards partition the
+    the same feature classes and measure; shards partition the
     global graph-id space by :func:`shard_of`.
 
     Read methods merge across shards (so any strategy built over this index
@@ -332,11 +330,6 @@ class ShardedFragmentIndex:
                 raise EngineConfigError(
                     f"shard {position} indexes different feature classes than "
                     "shard 0; all shards must share one feature set"
-                )
-            if shard.backend_name != first.backend_name:
-                raise EngineConfigError(
-                    f"shard {position} uses backend {shard.backend_name!r} but "
-                    f"shard 0 uses {first.backend_name!r}"
                 )
         self.shards: List[FragmentIndex] = shards
         # Topology-level reader/writer isolation: scatter-gather searches
@@ -369,14 +362,12 @@ class ShardedFragmentIndex:
         features: Iterable[LabeledGraph],
         measure,
         num_shards: int,
-        backend: str = "auto",
-        backend_options: Optional[Dict[str, Any]] = None,
         workers: Optional[int] = None,
     ) -> "ShardedFragmentIndex":
         """Partition ``database`` across ``num_shards`` and build every shard.
 
         ``workers > 1`` builds whole shards in parallel worker processes
-        (enumeration *and* backend insertion), producing shards byte-identical
+        (enumeration *and* store insertion), producing shards byte-identical
         to a serial build.
         """
         num_shards = int(num_shards)
@@ -388,10 +379,7 @@ class ShardedFragmentIndex:
         chunks: List[List[Tuple[int, LabeledGraph]]] = [[] for _ in range(num_shards)]
         for graph_id, graph in database.items():
             chunks[shard_of(graph_id, num_shards)].append((graph_id, graph))
-        payloads = [
-            (features, measure, backend, dict(backend_options or {}), chunk)
-            for chunk in chunks
-        ]
+        payloads = [(features, measure, chunk) for chunk in chunks]
         pool_size = int(workers or 0)
         start = time.perf_counter()
         if pool_size > 1 and num_shards > 1:
@@ -430,16 +418,6 @@ class ShardedFragmentIndex:
     def measure(self):
         """The distance measure (identical in every shard)."""
         return self.shards[0].measure
-
-    @property
-    def backend_name(self) -> str:
-        """Backend name shared by every shard."""
-        return self.shards[0].backend_name
-
-    @property
-    def backend_options(self) -> Dict[str, Any]:
-        """Backend options shared by every shard."""
-        return self.shards[0].backend_options
 
     @property
     def num_graphs(self) -> int:
@@ -640,7 +618,7 @@ class ShardedFragmentIndex:
         return removed
 
     def remove_graphs(self, graph_ids: Iterable[int]) -> int:
-        """Remove several graphs; returns total backend entries removed."""
+        """Remove several graphs; returns total store entries removed."""
         return sum(self.remove_graph(graph_id) for graph_id in list(graph_ids))
 
     def __repr__(self) -> str:

@@ -1,4 +1,4 @@
-"""Trie backend for categorical annotation sequences (mutation distance).
+"""Trie store for categorical annotation sequences (mutation distance).
 
 The paper stores sequentialized labeled fragments of one structural class in
 a trie and answers range queries ``d(g, g') <= sigma`` against it.  With the
@@ -8,6 +8,11 @@ accumulate the score position by position and abandon a subtree as soon as
 the partial score exceeds the radius — giving sub-linear behaviour whenever
 fragments share prefixes (which chemical fragments overwhelmingly do: most
 bonds are single carbon-carbon bonds).
+
+The trie stores ``(sequence, graph_id)`` pairs (identical sequences from the
+same graph collapse into one entry) and is dynamic: :meth:`TrieBackend.delete`
+drops every entry of one graph id and prunes the branches it leaves empty,
+so the fragment index can remove database graphs without a rebuild.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.distance import DistanceMeasure
-from .backends import DEFAULT_REBUILD_THRESHOLD, ClassIndexBackend, register_backend
 
 __all__ = ["TrieBackend", "TrieNode"]
 
@@ -40,19 +44,11 @@ class TrieNode:
         return total
 
 
-@register_backend
-class TrieBackend(ClassIndexBackend):
+class TrieBackend:
     """Prefix tree over annotation sequences with branch-and-bound search."""
 
-    name = "trie"
-    supports_delete = True
-
-    def __init__(
-        self,
-        measure: DistanceMeasure,
-        rebuild_threshold: float = DEFAULT_REBUILD_THRESHOLD,
-    ):
-        super().__init__(measure, rebuild_threshold=rebuild_threshold)
+    def __init__(self, measure: DistanceMeasure):
+        self.measure = measure
         self._root = TrieNode()
         self._num_entries = 0
         self._sequence_length: Optional[int] = None
@@ -77,7 +73,10 @@ class TrieBackend(ClassIndexBackend):
             self._num_entries += 1
 
     def delete(self, graph_id: int) -> int:
-        """Remove ``graph_id`` everywhere; prune branches left empty."""
+        """Remove ``graph_id`` everywhere; prune branches left empty.
+
+        Returns the number of distinct entries dropped.
+        """
         removed = self._delete_below(self._root, graph_id)
         self._num_entries -= removed
         return removed
@@ -99,6 +98,7 @@ class TrieBackend(ClassIndexBackend):
     def range_query(
         self, sequence: AnnotationSequence, radius: float
     ) -> Dict[int, float]:
+        """Return ``{graph_id: min distance}`` for distances ``<= radius``."""
         sequence = tuple(sequence)
         if self._sequence_length is not None and len(sequence) != self._sequence_length:
             raise ValueError("query sequence length does not match indexed length")
@@ -126,6 +126,7 @@ class TrieBackend(ClassIndexBackend):
         return results
 
     def __len__(self) -> int:
+        """Number of distinct ``(sequence, graph_id)`` entries."""
         return self._num_entries
 
     def entries(self) -> Iterator[Tuple[AnnotationSequence, int]]:

@@ -1,7 +1,6 @@
 """String-keyed registry of feature selectors.
 
-Mirrors the backend registry in :mod:`repro.index.backends` and the search
-strategy registry in :mod:`repro.search.registry`: every
+Mirrors the search strategy registry in :mod:`repro.search.registry`: every
 :class:`~repro.mining.base.FeatureSelector` subclass registers under its
 ``name`` attribute, and :func:`make_selector` builds one from a name plus
 keyword parameters — which is exactly the ``(selector, selector_params)``

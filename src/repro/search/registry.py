@@ -1,9 +1,9 @@
 """String-keyed registry of search strategies.
 
-Mirrors the backend registry in :mod:`repro.index.backends`: every
-:class:`~repro.search.strategy.SearchStrategy` subclass registers under its
-``name`` attribute and is instantiable through :func:`make_strategy` with
-the uniform ``(database, measure, index=None)`` shape.  This is what lets
+Every :class:`~repro.search.strategy.SearchStrategy` subclass registers
+under its ``name`` attribute and is instantiable through
+:func:`make_strategy` with the uniform ``(database, measure, index=None)``
+shape.  This is what lets
 :class:`repro.engine.Engine` pick its strategy from a declarative config,
 and lets callers swap PIS for a baseline with a single string.  The
 candidate verifiers of :mod:`repro.search.verify` have their own registry

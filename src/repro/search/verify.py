@@ -614,7 +614,7 @@ class BoundedVerifier(Verifier):
 
 
 # ----------------------------------------------------------------------
-# registry (mirrors repro.search.registry / repro.index.backends)
+# registry (mirrors repro.search.registry)
 # ----------------------------------------------------------------------
 _VERIFIERS: Dict[str, type] = {}
 

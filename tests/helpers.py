@@ -24,6 +24,7 @@ __all__ = [
     "random_molecule",
     "random_connected_subgraph",
     "oracle_answers",
+    "LinearScanBackend",
 ]
 
 
@@ -99,3 +100,56 @@ def oracle_answers(database, measure, query, sigma):
     ).search(query, sigma)
     ids = list(result.answer_ids)
     return ids, {graph_id: result.answer_distances[graph_id] for graph_id in ids}
+
+
+class LinearScanBackend:
+    """Reference range-query store: a flat map scanned on every query.
+
+    Measure-agnostic and obviously correct; the trie and the vector store
+    of :mod:`repro.index.class_index` are checked against it.  Stores
+    distinct ``(sequence, graph_id)`` entries.
+    """
+
+    def __init__(self, measure):
+        self.measure = measure
+        self._by_sequence = {}
+
+    def insert(self, sequence, graph_id):
+        self._by_sequence.setdefault(tuple(sequence), set()).add(graph_id)
+
+    def delete(self, graph_id):
+        """Drop every entry of ``graph_id``; return how many were dropped."""
+        removed = 0
+        for sequence in list(self._by_sequence):
+            graph_ids = self._by_sequence[sequence]
+            if graph_id in graph_ids:
+                graph_ids.discard(graph_id)
+                removed += 1
+                if not graph_ids:
+                    del self._by_sequence[sequence]
+        return removed
+
+    def range_query(self, sequence, radius):
+        """``{graph_id: min distance}`` for stored sequences within ``radius``."""
+        sequence = tuple(sequence)
+        results = {}
+        for stored, graph_ids in self._by_sequence.items():
+            distance = self.measure.sequence_distance(sequence, stored)
+            if distance > radius:
+                continue
+            for graph_id in graph_ids:
+                best = results.get(graph_id)
+                if best is None or distance < best:
+                    results[graph_id] = distance
+        return results
+
+    def __len__(self):
+        return sum(len(ids) for ids in self._by_sequence.values())
+
+    def entries(self):
+        for sequence, graph_ids in self._by_sequence.items():
+            for graph_id in graph_ids:
+                yield sequence, graph_id
+
+    def graph_ids(self):
+        return {graph_id for _, graph_id in self.entries()}

@@ -1,8 +1,9 @@
-"""Tests for the per-class range-query backends (trie, R-tree, VP-tree).
+"""Tests for the per-class range-query stores (trie and vector store).
 
-The central property: every backend must return exactly the same range-query
-results as the linear-scan reference backend, for both categorical (mutation)
-and numeric (linear) measures where applicable.
+The central property: each store returns exactly the range-query results of
+the test-local linear-scan reference (:class:`helpers.LinearScanBackend`) —
+the trie for categorical (mutation) measures, the vector store for numeric
+(linear) ones.
 """
 
 import random
@@ -11,16 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LinearMutationDistance, MutationDistance
-from repro.index import (
-    LinearScanBackend,
-    RTreeBackend,
-    TrieBackend,
-    VPTreeBackend,
-    available_backends,
-    make_backend,
-)
-from repro.core.errors import IndexError_
+from repro.core import LinearMutationDistance, MutationDistance, structure_code
+from repro.index import EquivalenceClassIndex, TrieBackend
+from repro.index.class_index import _SCALAR_SCAN_MAX, _VectorStore
+
+from helpers import LinearScanBackend, path_graph
 
 
 CATEGORICAL_ALPHABET = ["single", "double", "aromatic", "triple"]
@@ -39,24 +35,46 @@ def random_numeric_sequences(rng, count, length):
     ]
 
 
+def store_under_test(name):
+    """A fresh store plus the measure and a pair of nearby sequences."""
+    if name == "trie":
+        measure = MutationDistance()
+        return TrieBackend(measure), measure, ("a", "b"), ("x", "b")
+    measure = LinearMutationDistance()
+    return _VectorStore(measure), measure, (1.0, 2.0), (1.5, 2.0)
+
+
 class TestFactory:
-    def test_registered_backends(self):
-        names = available_backends()
-        assert {"linear", "trie", "rtree", "vptree"} <= set(names)
-
     def test_auto_selection(self):
-        categorical = MutationDistance()
-        numeric = LinearMutationDistance()
-        assert make_backend("auto", categorical).name == "trie"
-        assert make_backend("auto", numeric).name == "rtree"
+        code = structure_code(path_graph(2))
+        categorical = EquivalenceClassIndex(code, MutationDistance())
+        numeric = EquivalenceClassIndex(code, LinearMutationDistance())
+        assert isinstance(categorical.store, TrieBackend)
+        assert isinstance(numeric.store, _VectorStore)
 
-    def test_unknown_backend(self):
-        with pytest.raises(IndexError_):
-            make_backend("btree", MutationDistance())
 
-    def test_rtree_requires_numeric_measure(self):
-        with pytest.raises(IndexError_):
-            RTreeBackend(MutationDistance())
+class TestStoreContract:
+    """Behaviour shared by both stores, each checked against the reference."""
+
+    @pytest.mark.parametrize("name", ["trie", "vector"])
+    def test_insert_dedupe(self, name):
+        store, measure, sequence, _ = store_under_test(name)
+        reference = LinearScanBackend(measure)
+        for target in (store, reference):
+            target.insert(sequence, 1)
+            target.insert(sequence, 1)
+            target.insert(sequence, 2)
+        assert len(store) == len(reference) == 2
+        assert sorted(store.entries()) == sorted(reference.entries())
+
+    @pytest.mark.parametrize("name", ["trie", "vector"])
+    def test_keeps_min_distance_per_graph(self, name):
+        store, measure, near, far = store_under_test(name)
+        reference = LinearScanBackend(measure)
+        for target in (store, reference):
+            target.insert(far, 7)
+            target.insert(near, 7)
+        assert store.range_query(near, 2) == reference.range_query(near, 2) == {7: 0.0}
 
 
 class TestLinearBackend:
@@ -133,24 +151,25 @@ class TestTrieBackend:
         assert trie.range_query(query, radius) == reference.range_query(query, radius)
 
 
-class TestRTreeBackend:
-    def test_invalid_node_capacity(self):
-        with pytest.raises(IndexError_):
-            RTreeBackend(LinearMutationDistance(), max_entries=3, min_entries=2)
-
-    def test_height_grows_with_inserts(self):
-        rng = random.Random(5)
-        backend = RTreeBackend(LinearMutationDistance(), max_entries=4, min_entries=2)
-        for position, vector in enumerate(random_numeric_sequences(rng, 60, 3)):
-            backend.insert(vector, position)
-        assert backend.height() >= 2
-        assert len(backend) == 60
-
+class TestVectorStore:
     def test_duplicate_entries_ignored(self):
-        backend = RTreeBackend(LinearMutationDistance())
-        backend.insert((1.0, 2.0), 4)
-        backend.insert((1.0, 2.0), 4)
-        assert len(backend) == 1
+        store = _VectorStore(LinearMutationDistance())
+        store.insert((1.0, 2.0), 4)
+        store.insert((1.0, 2.0), 4)
+        assert len(store) == 1
+        assert list(store.entries()) == [((1.0, 2.0), 4)]
+        assert store.range_query((1.0, 2.0), 0.0) == {4: 0.0}
+
+    def test_incremental_insert_then_query(self):
+        # enough rows for the numpy pass, whose cached matrix every insert
+        # must invalidate
+        measure = LinearMutationDistance()
+        store = _VectorStore(measure)
+        for graph_id in range(_SCALAR_SCAN_MAX + 1):
+            store.insert((10.0 + graph_id, 10.0), graph_id)
+        assert store.range_query((1.0, 2.0), 1.0) == {}
+        store.insert((1.5, 2.0), 99)
+        assert store.range_query((1.0, 2.0), 1.0) == {99: 0.5}
 
     @given(st.integers(min_value=0, max_value=50_000))
     @settings(max_examples=30, deadline=None)
@@ -158,60 +177,21 @@ class TestRTreeBackend:
         rng = random.Random(seed)
         measure = LinearMutationDistance()
         length = rng.randint(1, 5)
-        sequences = random_numeric_sequences(rng, rng.randint(1, 60), length)
-        rtree = RTreeBackend(measure, max_entries=6, min_entries=2)
+        # up to twice the scalar-scan bound: both scan paths run
+        sequences = random_numeric_sequences(
+            rng, rng.randint(1, 2 * _SCALAR_SCAN_MAX), length
+        )
+        store = _VectorStore(measure)
         reference = LinearScanBackend(measure)
         for position, sequence in enumerate(sequences):
             graph_id = position % 9
-            rtree.insert(sequence, graph_id)
+            store.insert(sequence, graph_id)
             reference.insert(sequence, graph_id)
+        assert len(store) == len(reference)
         query = tuple(round(rng.uniform(0, 5), 3) for _ in range(length))
         radius = rng.choice([0.1, 0.5, 1.5, 4.0])
         expected = reference.range_query(query, radius)
-        actual = rtree.range_query(query, radius)
+        actual = store.range_query(query, radius)
         assert set(actual) == set(expected)
         for graph_id, distance in actual.items():
             assert distance == pytest.approx(expected[graph_id])
-
-
-class TestVPTreeBackend:
-    def test_incremental_insert_then_query(self):
-        measure = MutationDistance()
-        backend = VPTreeBackend(measure)
-        backend.insert(("a", "b"), 0)
-        assert backend.range_query(("a", "b"), 0) == {0: 0.0}
-        backend.insert(("a", "c"), 1)
-        assert backend.range_query(("a", "b"), 1) == {0: 0.0, 1: 1.0}
-
-    @given(st.integers(min_value=0, max_value=50_000))
-    @settings(max_examples=30, deadline=None)
-    def test_agrees_with_linear_scan_categorical(self, seed):
-        rng = random.Random(seed)
-        measure = MutationDistance()
-        length = rng.randint(1, 6)
-        sequences = random_categorical_sequences(rng, rng.randint(1, 40), length)
-        vptree = VPTreeBackend(measure)
-        reference = LinearScanBackend(measure)
-        for position, sequence in enumerate(sequences):
-            vptree.insert(sequence, position % 5)
-            reference.insert(sequence, position % 5)
-        query = tuple(rng.choice(CATEGORICAL_ALPHABET) for _ in range(length))
-        radius = rng.choice([0, 1, 2])
-        assert vptree.range_query(query, radius) == reference.range_query(query, radius)
-
-    @given(st.integers(min_value=0, max_value=50_000))
-    @settings(max_examples=20, deadline=None)
-    def test_agrees_with_linear_scan_numeric(self, seed):
-        rng = random.Random(seed)
-        measure = LinearMutationDistance()
-        length = rng.randint(1, 4)
-        sequences = random_numeric_sequences(rng, rng.randint(1, 40), length)
-        vptree = VPTreeBackend(measure)
-        reference = LinearScanBackend(measure)
-        for position, sequence in enumerate(sequences):
-            vptree.insert(sequence, position)
-            reference.insert(sequence, position)
-        query = tuple(round(rng.uniform(0, 5), 3) for _ in range(length))
-        expected = reference.range_query(query, 1.0)
-        actual = vptree.range_query(query, 1.0)
-        assert set(actual) == set(expected)

@@ -17,6 +17,7 @@ from repro import (
     available_strategies,
     default_edge_mutation_distance,
     generate_chemical_database,
+    generate_weighted_database,
     make_selector,
     make_strategy,
 )
@@ -31,9 +32,8 @@ from repro.core import (
 )
 
 SELECTOR_PARAMS = {"max_edges": 3, "min_support": 0.2}
-CONFIG = EngineConfig(
-    selector="exhaustive", selector_params=dict(SELECTOR_PARAMS), backend="trie"
-)
+LINEAR_MEASURE = {"name": "linear", "include_vertices": False, "include_edges": True}
+CONFIG = EngineConfig(selector="exhaustive", selector_params=dict(SELECTOR_PARAMS))
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +57,6 @@ class TestEngineConfig:
         config = EngineConfig(
             selector="paths",
             selector_params={"max_path_edges": 3},
-            backend="rtree",
-            backend_options={"max_entries": 8},
             measure={"name": "linear", "include_vertices": False, "include_edges": True},
             strategy="pis",
             strategy_params={"partition_method": "exact"},
@@ -74,6 +72,19 @@ class TestEngineConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(EngineConfigError):
             EngineConfig.from_dict({"selector": "paths", "selector_prams": {}})
+
+    def test_retired_store_keys_dropped(self):
+        data = EngineConfig(selector_params={"max_edges": 4}).to_dict()
+        assert not {"backend", "backend_options", "rebuild_threshold"} & set(data)
+        retired = dict(
+            data,
+            backend="rtree",
+            backend_options={"max_entries": 8},
+            rebuild_threshold=0.5,
+        )
+        assert EngineConfig.from_dict(retired) == EngineConfig.from_dict(data)
+        with pytest.raises(TypeError):
+            EngineConfig(backend="trie")
 
     def test_bad_field_types_rejected(self):
         with pytest.raises(EngineConfigError):
@@ -95,7 +106,7 @@ class TestEngineConfig:
 
     def test_copies_do_not_share_nested_dicts(self):
         config = EngineConfig(selector_params={"max_edges": 3})
-        replaced = config.replace(backend="linear")
+        replaced = config.replace(strategy="topoPrune")
         replaced.selector_params["max_edges"] = 9
         assert config.selector_params["max_edges"] == 3
         as_dict = config.to_dict()
@@ -155,7 +166,7 @@ class TestStrategySignatures:
     def test_legacy_and_unified_pis_agree(self, database, queries):
         measure = default_edge_mutation_distance()
         features = ExhaustiveFeatureSelector(**SELECTOR_PARAMS).select(database)
-        index = FragmentIndex(features, measure, backend="trie").build(database)
+        index = FragmentIndex(features, measure).build(database)
         legacy = PISearch(index, database)
         unified = PISearch(database, index=index)
         for query in queries:
@@ -192,7 +203,7 @@ class TestEngineBuildAndSearch:
         """Engine.build + search == manual FragmentIndex/PISearch wiring."""
         measure = default_edge_mutation_distance()
         features = ExhaustiveFeatureSelector(**SELECTOR_PARAMS).select(database)
-        index = FragmentIndex(features, measure, backend="trie").build(database)
+        index = FragmentIndex(features, measure).build(database)
         manual = PISearch(index, database)
         for query in queries:
             from_engine = engine.search(query, 1)
@@ -231,7 +242,7 @@ class TestEngineBuildAndSearch:
     def test_from_index_wraps_prebuilt_index(self, database, queries):
         measure = default_edge_mutation_distance()
         features = ExhaustiveFeatureSelector(**SELECTOR_PARAMS).select(database)
-        index = FragmentIndex(features, measure, backend="trie").build(database)
+        index = FragmentIndex(features, measure).build(database)
         engine = Engine.from_index(database, index)
         assert engine.config.measure["name"] == "mutation"
         # Feature provenance is unknown, so the config must not pretend the
@@ -325,22 +336,57 @@ class TestEnginePersistence:
         with pytest.raises(SerializationError):
             engine.save(tmp_path / "no-such-dir" / "engine.json")
 
-    def test_backend_options_survive_save_load(self, tmp_path, database, queries):
+    @pytest.mark.parametrize("shards", [1, 2], ids=["unsharded", "2-shards"])
+    @pytest.mark.parametrize(
+        "backend, options, measure",
+        [
+            ("auto", {}, None),
+            ("trie", {}, None),
+            ("vptree", {"seed": 23}, None),
+            ("linear", {}, LINEAR_MEASURE),
+            ("rtree", {"max_entries": 8, "min_entries": 3}, LINEAR_MEASURE),
+        ],
+        ids=["auto", "trie", "vptree", "linear", "rtree"],
+    )
+    def test_retired_backend_keys_load(
+        self, tmp_path, backend, options, measure, shards
+    ):
+        """Engine files that still name a per-class backend load and answer
+        exactly; re-saving drops the retired keys."""
+        from helpers import oracle_answers
+
+        if measure is None:
+            database = generate_chemical_database(20, seed=3)
+        else:
+            database = generate_weighted_database(20, seed=3)
         config = EngineConfig(
             selector="paths",
             selector_params={"max_path_edges": 2, "include_cycles": False},
-            backend="vptree",
-            backend_options={"seed": 23},
+            measure=measure,
+            shards=shards,
         )
-        engine = Engine.build(database, config)
         path = tmp_path / "engine.json"
-        engine.save(path)
-        reloaded = Engine.load(path, database)
-        assert reloaded.index.backend_options == {"seed": 23}
-        assert (
-            reloaded.search(queries[0], 1).answer_ids
-            == engine.search(queries[0], 1).answer_ids
+        Engine.build(database, config).save(path)
+        data = json.loads(path.read_text())
+        data["config"].update(
+            backend=backend, backend_options=options, rebuild_threshold=0.5
         )
+        for document in [data["index"], *data["index"].get("shards", [])]:
+            document.update(backend=backend, backend_options=options)
+        path.write_text(json.dumps(data))
+
+        reloaded = Engine.load(path, database)
+        assert reloaded.config.shards == shards
+        queries = QueryWorkload(database, seed=5).sample_queries(num_edges=4, count=2)
+        for query in queries:
+            for sigma in (0.5, 1.0):
+                result = reloaded.search(query, sigma)
+                assert (result.answer_ids, result.answer_distances) == oracle_answers(
+                    database, reloaded.measure, query, sigma
+                )
+        reloaded.save(path)
+        text = path.read_text()
+        assert '"backend' not in text and '"rebuild_threshold"' not in text
 
 
 class TestDegenerateSigma:

@@ -5,7 +5,6 @@ import pytest
 from repro.experiments import (
     ExperimentConfig,
     Table,
-    backend_ablation,
     bucketize,
     build_environment,
     candidate_series,
@@ -150,8 +149,3 @@ class TestReports:
             assert values["enhanced-greedy(2) weight"] >= 0
             if values["exact weight"] != "-":
                 assert values["greedy weight"] <= values["exact weight"] + 1e-6
-
-    def test_backend_ablation_agrees(self):
-        table = backend_ablation(num_graphs=15, num_queries=2, query_edges=5)
-        agreement = table.column_series("agrees with linear")
-        assert all(value == "yes" for value in agreement)

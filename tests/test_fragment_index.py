@@ -1,5 +1,6 @@
 """Tests for the fragment sequencer, per-class index, and fragment index."""
 
+import json
 import random
 
 import pytest
@@ -168,12 +169,24 @@ class TestPersistence:
         for graph in database:
             for (u, v) in graph.edges():
                 graph.set_edge_weight(u, v, 1.5)
-        index = FragmentIndex([path_structure(2)], linear_measure, backend="rtree").build(
-            database
-        )
+        index = FragmentIndex([path_structure(2)], linear_measure).build(database)
         rebuilt = index_from_dict(index_to_dict(index))
         assert rebuilt.measure.name == "linear"
         assert rebuilt.stats().num_entries == index.stats().num_entries
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    def test_documents_naming_a_backend_load(self, small_index, version):
+        """Documents written while the per-class store was configurable
+        still load; new documents omit the keys."""
+        document = index_to_dict(small_index)
+        assert "backend" not in document and "backend_options" not in document
+        legacy = json.loads(json.dumps(document))
+        legacy.update(version=version, backend="vptree", backend_options={"seed": 2})
+        loaded = index_from_dict(legacy)
+        for key in ("backend", "backend_options"):
+            legacy.pop(key)
+        legacy["version"] = document["version"]
+        assert json.dumps(index_to_dict(loaded)) == json.dumps(legacy)
 
     def test_load_rejects_other_formats(self, tmp_path):
         from repro.core.errors import SerializationError

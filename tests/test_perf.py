@@ -34,7 +34,7 @@ from repro.index.persistence import (
 )
 from repro.perf import graph_signature, skeleton_signature
 
-from helpers import oracle_answers
+from helpers import LinearScanBackend, oracle_answers
 
 
 SMALL_CONFIG = EngineConfig(
@@ -388,14 +388,16 @@ class TestVectorizedScans:
                 "sample_size": 15,
             },
             measure={"name": "linear", "include_vertices": False, "include_edges": True},
-            backend="rtree",
         )
         engine = Engine.build(database, config)
         queries = QueryWorkload(database, seed=13).sample_queries(6, 2)
         for query in queries:
             for fragment in engine.index.enumerate_query_fragments(query):
                 class_index = engine.index.get_class(fragment.code)
+                reference = LinearScanBackend(engine.measure)
+                for sequence, graph_id in class_index.entries():
+                    reference.insert(sequence, graph_id)
                 for sigma in (0.5, 1.5, 3.0):
                     fast = class_index.range_query(fragment.sequence, sigma)
-                    slow = class_index.backend.range_query(fragment.sequence, sigma)
+                    slow = reference.range_query(fragment.sequence, sigma)
                     assert fast == slow

@@ -94,10 +94,8 @@ class TestFragmentStatistics:
     def indexes(self, database):
         features = chem_features(database)
         measure = default_edge_mutation_distance()
-        unsharded = FragmentIndex(features, measure, backend="trie").build(database)
-        sharded = ShardedFragmentIndex.build(
-            database, features, measure, num_shards=4, backend="trie"
-        )
+        unsharded = FragmentIndex(features, measure).build(database)
+        sharded = ShardedFragmentIndex.build(database, features, measure, num_shards=4)
         return unsharded, sharded
 
     def test_sharded_bit_identical_to_unsharded(self, indexes, database):

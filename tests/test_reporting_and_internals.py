@@ -1,4 +1,4 @@
-"""Additional coverage: result containers, R-tree geometry, strategy glue,
+"""Additional coverage: result containers, trie internals, strategy glue,
 the gIndex-selected end-to-end path, and the quickstart example script."""
 
 import subprocess
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import GraphDatabase, default_edge_mutation_distance
-from repro.index import FragmentIndex, Rect
+from repro.index import FragmentIndex
 from repro.index.trie import TrieBackend
 from repro.mining import GIndexFeatureSelector
 from repro.search import NaiveSearch, PISearch, SearchResult, TopoPruneSearch
@@ -53,28 +53,6 @@ class TestResultContainers:
         assert as_dict["num_candidates"] == 3
 
 
-class TestRectGeometry:
-    def test_merge_and_enlargement(self):
-        a = Rect((0.0, 0.0), (1.0, 1.0))
-        b = Rect((2.0, 0.5), (3.0, 0.5))
-        merged = a.merged(b)
-        assert merged.low == (0.0, 0.0)
-        assert merged.high == (3.0, 1.0)
-        assert a.enlargement(b) == pytest.approx(merged.volume_proxy() - a.volume_proxy())
-
-    def test_min_l1_distance(self):
-        rect = Rect((0.0, 0.0), (1.0, 1.0))
-        assert rect.min_l1_distance((0.5, 0.5)) == 0.0
-        assert rect.min_l1_distance((2.0, 0.5)) == pytest.approx(1.0)
-        assert rect.min_l1_distance((2.0, -1.0)) == pytest.approx(2.0)
-        assert rect.contains_point((1.0, 0.0))
-        assert not rect.contains_point((1.1, 0.0))
-
-    def test_from_point_is_degenerate(self):
-        rect = Rect.from_point((1.0, 2.0))
-        assert rect.volume_proxy() == 0.0
-
-
 class TestTrieInternals:
     def test_entries_round_trip(self, edge_measure):
         backend = TrieBackend(edge_measure)
@@ -83,7 +61,7 @@ class TestTrieInternals:
         backend.insert(("c", "d"), 1)
         entries = sorted(backend.entries())
         assert entries == [(("a", "b"), 1), (("a", "b"), 2), (("c", "d"), 1)]
-        assert backend.graph_ids() == {1, 2}
+        assert {graph_id for _, graph_id in backend.entries()} == {1, 2}
 
 
 class TestStrategyGlue:

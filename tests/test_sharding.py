@@ -180,10 +180,8 @@ class TestShardedIndex:
     def built(self, database):
         features = chem_features(database)
         measure = default_edge_mutation_distance()
-        unsharded = FragmentIndex(features, measure, backend="trie").build(database)
-        sharded = ShardedFragmentIndex.build(
-            database, features, measure, num_shards=4, backend="trie"
-        )
+        unsharded = FragmentIndex(features, measure).build(database)
+        sharded = ShardedFragmentIndex.build(database, features, measure, num_shards=4)
         return unsharded, sharded
 
     def test_modulo_partitioning(self, built, database):
@@ -241,11 +239,9 @@ class TestShardedIndex:
     def test_parallel_build_byte_identical_to_serial(self, database):
         features = chem_features(database)
         measure = default_edge_mutation_distance()
-        serial = ShardedFragmentIndex.build(
-            database, features, measure, num_shards=3, backend="trie"
-        )
+        serial = ShardedFragmentIndex.build(database, features, measure, num_shards=3)
         parallel = ShardedFragmentIndex.build(
-            database, features, measure, num_shards=3, backend="trie", workers=3
+            database, features, measure, num_shards=3, workers=3
         )
         assert json.dumps(index_to_dict(serial)) == json.dumps(
             index_to_dict(parallel)
@@ -258,7 +254,7 @@ class TestShardedIndex:
     def test_mark_retired_rejects_live_ids(self, database):
         features = chem_features(database)
         measure = default_edge_mutation_distance()
-        index = FragmentIndex(features, measure, backend="trie").build(database)
+        index = FragmentIndex(features, measure).build(database)
         with pytest.raises(IndexError_):
             index.mark_retired(0)
         index.mark_retired(database.id_bound + 2)  # extends the bound
@@ -268,7 +264,7 @@ class TestShardedIndex:
     def test_align_id_bound_never_shrinks(self, database):
         features = chem_features(database)
         measure = default_edge_mutation_distance()
-        index = FragmentIndex(features, measure, backend="trie").build(database)
+        index = FragmentIndex(features, measure).build(database)
         bound = index.num_graphs
         index.align_id_bound(bound - 5)
         assert index.num_graphs == bound
@@ -516,7 +512,7 @@ class TestShardedPersistence:
     def test_v3_single_index_still_loads(self, database, tmp_path):
         features = chem_features(database)
         measure = default_edge_mutation_distance()
-        index = FragmentIndex(features, measure, backend="trie").build(database)
+        index = FragmentIndex(features, measure).build(database)
         path = tmp_path / "v3.json"
         save_index(index, path)
         restored = load_index(path)

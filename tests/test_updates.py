@@ -1,14 +1,14 @@
 """Tests for the incremental-update subsystem (dynamic graph database).
 
-Covers the whole stack: tombstoned :class:`GraphDatabase` mutation, backend
-``delete`` support (eager and lazy), per-class removal bookkeeping,
+Covers the whole stack: tombstoned :class:`GraphDatabase` mutation, store
+``delete`` support (trie and vector store), per-class removal bookkeeping,
 :class:`FragmentIndex` add/remove with generation-stamped cache
 invalidation, revision-keyed distance memoization, persistence schema v3,
 the :class:`Engine` mutation API, the ``pis update`` CLI command, and —
 most importantly — the equivalence property: after any interleaving of
 adds and removes, search results are byte-identical (answer ids *and*
 distances) to a from-scratch build over the same final database and to the
-NaiveSearch oracle, on every backend.
+NaiveSearch oracle, for both the categorical and the numeric measure.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.datasets.generator import (
 )
 from repro.datasets.queries import QueryWorkload
 from repro.engine import Engine, EngineConfig
-from repro.index.backends import LinearScanBackend, make_backend
+from repro.index.class_index import _SCALAR_SCAN_MAX, _VectorStore
 from repro.index.fragment_index import FragmentIndex
 from repro.index.persistence import (
     INDEX_SCHEMA_VERSION,
@@ -46,13 +46,11 @@ from repro.index.persistence import (
     load_index,
     save_index,
 )
-from repro.index.rtree import RTreeBackend
 from repro.index.trie import TrieBackend
-from repro.index.vptree import VPTreeBackend
 from repro.mining.exhaustive import ExhaustiveFeatureSelector
 from repro.search import BoundedVerifier
 
-from helpers import oracle_answers, random_connected_subgraph
+from helpers import LinearScanBackend, oracle_answers, random_connected_subgraph
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +153,7 @@ class TestDynamicDatabase:
 
 
 # ----------------------------------------------------------------------
-# backend delete support
+# store delete support
 # ----------------------------------------------------------------------
 CATEGORICAL_ENTRIES = [
     (("a", "b"), 0),
@@ -171,85 +169,69 @@ NUMERIC_ENTRIES = [
     ((3.0, 1.0), 2),
     ((1.0, 2.0), 2),
 ]
+STORES = {"trie": TrieBackend, "vector": _VectorStore, "linear": LinearScanBackend}
 
 
-def backend_under_test(name):
-    if name in ("trie", "vptree-categorical"):
+def store_under_test(name):
+    """A fresh store, its measure and entries; ``linear`` is the reference."""
+    if name == "trie":
         measure = default_edge_mutation_distance()
         entries = CATEGORICAL_ENTRIES
     else:
         measure = LinearMutationDistance(include_vertices=False, include_edges=True)
         entries = NUMERIC_ENTRIES
-    backend = make_backend(name.split("-")[0], measure)
-    return backend, measure, entries
+    return STORES[name](measure), measure, entries
 
 
 class TestBackendDelete:
-    @pytest.mark.parametrize(
-        "name", ["linear", "trie", "vptree-categorical", "rtree", "vptree"]
-    )
+    @pytest.mark.parametrize("name", ["linear", "trie", "vector"])
     def test_delete_matches_fresh_backend(self, name):
-        backend, measure, entries = backend_under_test(name)
-        assert backend.supports_delete
+        store, measure, entries = store_under_test(name)
         for sequence, graph_id in entries:
-            backend.insert(sequence, graph_id)
-        removed = backend.delete(1)
+            store.insert(sequence, graph_id)
+        removed = store.delete(1)
         assert removed == len({(s, g) for s, g in entries if g == 1})
-        fresh = make_backend(backend.name, measure)
+        fresh = LinearScanBackend(measure)
         for sequence, graph_id in entries:
             if graph_id != 1:
                 fresh.insert(sequence, graph_id)
-        assert len(backend) == len(fresh)
-        assert sorted(backend.entries()) == sorted(fresh.entries())
+        assert len(store) == len(fresh)
+        assert sorted(store.entries()) == sorted(fresh.entries())
         for sequence, _ in entries:
-            assert backend.range_query(sequence, 100.0) == fresh.range_query(
+            assert store.range_query(sequence, 100.0) == fresh.range_query(
                 sequence, 100.0
             )
         # deleting an absent id is a no-op
-        assert backend.delete(99) == 0
+        assert store.delete(99) == 0
+        assert len(store) == len(fresh)
 
     def test_reinsert_after_delete(self):
-        backend = LinearScanBackend(default_edge_mutation_distance())
-        backend.insert(("a",), 0)
-        backend.delete(0)
-        backend.insert(("b",), 0)
-        assert backend.range_query(("b",), 0.0) == {0: 0.0}
+        for name in ("trie", "vector"):
+            store, _, entries = store_under_test(name)
+            (first, _), (second, _) = entries[0], entries[1]
+            store.insert(first, 0)
+            store.delete(0)
+            store.insert(second, 0)
+            assert store.range_query(second, 0.0) == {0: 0.0}
+            assert list(store.entries()) == [(second, 0)]
 
-    def test_rtree_compacts_past_threshold(self):
+    def test_reinsert_after_delete_hides_stale_vectors(self):
         measure = LinearMutationDistance(include_vertices=False, include_edges=True)
-        lazy = RTreeBackend(measure, rebuild_threshold=0.9)
-        eager = RTreeBackend(measure, rebuild_threshold=0.25)
-        for sequence, graph_id in NUMERIC_ENTRIES:
-            lazy.insert(sequence, graph_id)
-            eager.insert(sequence, graph_id)
-        lazy.delete(1)
-        eager.delete(1)
-        assert lazy.num_tombstoned == 2  # 2/5 < 0.9: tombstones linger
-        assert eager.num_tombstoned == 0  # 2/5 >= 0.25: compacted
-        for backend in (lazy, eager):
-            assert sorted(backend.range_query((1.0, 2.0), 100.0)) == [0, 2]
-            assert all(gid != 1 for _, gid in backend.entries())
-
-    def test_rtree_reinserting_tombstoned_id_compacts_first(self):
-        measure = LinearMutationDistance(include_vertices=False, include_edges=True)
-        backend = RTreeBackend(measure, rebuild_threshold=0.99)
-        for sequence, graph_id in NUMERIC_ENTRIES:
-            backend.insert(sequence, graph_id)
-        backend.delete(1)
-        backend.insert((7.0, 7.0), 1)
+        # enough filler rows that the numpy pass (and its cached matrix) runs
+        filler = [((50.0 + k, 50.0), 3) for k in range(_SCALAR_SCAN_MAX)]
+        store = _VectorStore(measure)
+        for sequence, graph_id in NUMERIC_ENTRIES + filler:
+            store.insert(sequence, graph_id)
+        assert store.range_query((9.0, 9.0), 0.0) == {1: 0.0}
+        store.delete(1)
+        store.insert((7.0, 7.0), 1)
         # only the new entry of graph 1 is visible, never the old two
-        assert backend.range_query((9.0, 9.0), 0.0) == {}
-        assert backend.range_query((7.0, 7.0), 0.0) == {1: 0.0}
-        assert backend.num_tombstoned == 0
-
-    def test_rebuild_threshold_knob_is_validated_and_uniform(self):
-        measure = default_edge_mutation_distance()
-        for name in ("linear", "trie", "vptree"):
-            assert make_backend(name, measure, rebuild_threshold=0.5).rebuild_threshold == 0.5
-        with pytest.raises(IndexError_):
-            TrieBackend(measure, rebuild_threshold=0.0)
-        with pytest.raises(IndexError_):
-            VPTreeBackend(measure, rebuild_threshold=1.5)
+        assert store.range_query((9.0, 9.0), 0.0) == {}
+        assert store.range_query((1.5, 2.5), 0.0) == {}
+        assert store.range_query((7.0, 7.0), 0.0) == {1: 0.0}
+        assert [entry for entry in store.entries() if entry[1] == 1] == [
+            ((7.0, 7.0), 1)
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -261,14 +243,14 @@ class TestFragmentIndexMutation:
         database = generate_chemical_database(10, seed=3)
         measure = default_edge_mutation_distance()
         features = chem_features(database, measure)
-        index = FragmentIndex(features, measure, backend="trie").build(database)
+        index = FragmentIndex(features, measure).build(database)
         return database, measure, features, index
 
     def test_remove_graph_matches_rebuild(self, built):
         database, measure, features, index = built
         index.remove_graph(4)
         database.remove(4)
-        rebuilt = FragmentIndex(features, measure, backend="trie").build(database)
+        rebuilt = FragmentIndex(features, measure).build(database)
         assert index.live_graph_ids() == rebuilt.live_graph_ids()
         assert index.removed_graph_ids == frozenset({4})
         for incremental, fresh in zip(index.classes(), rebuilt.classes()):
@@ -282,7 +264,7 @@ class TestFragmentIndexMutation:
         newcomer = generate_chemical_database(1, seed=77)[0]
         graph_id = database.add(newcomer)
         index.add_graph(graph_id, newcomer)
-        rebuilt = FragmentIndex(features, measure, backend="trie").build(database)
+        rebuilt = FragmentIndex(features, measure).build(database)
         assert index.num_graphs == rebuilt.num_graphs == 11
         for incremental, fresh in zip(index.classes(), rebuilt.classes()):
             assert incremental.containing_graphs() == fresh.containing_graphs()
@@ -335,7 +317,7 @@ class TestFragmentIndexMutation:
 # ----------------------------------------------------------------------
 # the equivalence property (tentpole acceptance)
 # ----------------------------------------------------------------------
-def mutation_equivalence_scenario(backend, weighted, seed):
+def mutation_equivalence_scenario(weighted, seed):
     """Random add/remove interleaving; compare against a fresh rebuild."""
     if weighted:
         database = generate_weighted_database(12, seed=seed)
@@ -345,14 +327,13 @@ def mutation_equivalence_scenario(backend, weighted, seed):
             selector="exhaustive",
             selector_params=dict(SELECTOR_PARAMS),
             measure=dict(NUMERIC_MEASURE),
-            backend=backend,
         )
         sigmas = (0.8, 2.0)
     else:
         database = generate_chemical_database(12, seed=seed)
         pool = generate_chemical_database(10, seed=seed + 100)
         measure = default_edge_mutation_distance()
-        config = EngineConfig(backend=backend, **CATEGORICAL_CONFIG)
+        config = EngineConfig(**CATEGORICAL_CONFIG)
         sigmas = (1.0, 2.0)
 
     engine = Engine.build(database, config)
@@ -375,24 +356,22 @@ def mutation_equivalence_scenario(backend, weighted, seed):
             incremental = answers_payload(engine.search(query, sigma))
             fresh = answers_payload(rebuilt.search(query, sigma))
             oracle = oracle_answers(database, measure, query, sigma)
-            assert incremental == fresh == oracle, (backend, weighted, sigma)
+            assert incremental == fresh == oracle, (weighted, sigma)
 
 
 class TestMutationEquivalence:
-    @pytest.mark.parametrize("backend", ["trie", "vptree", "linear"])
-    def test_categorical_backends_match_rebuild(self, backend):
-        mutation_equivalence_scenario(backend, weighted=False, seed=11)
+    def test_categorical_store_matches_rebuild(self):
+        mutation_equivalence_scenario(weighted=False, seed=11)
 
-    @pytest.mark.parametrize("backend", ["rtree", "vptree", "linear"])
-    def test_numeric_backends_match_rebuild(self, backend):
-        mutation_equivalence_scenario(backend, weighted=True, seed=13)
+    def test_numeric_store_matches_rebuild(self):
+        mutation_equivalence_scenario(weighted=True, seed=13)
 
     def test_index_level_candidates_match_rebuild(self):
         """Same feature set: even the candidate sets must be identical."""
         database = generate_chemical_database(12, seed=5)
         measure = default_edge_mutation_distance()
         features = chem_features(database, measure)
-        index = FragmentIndex(features, measure, backend="trie").build(database)
+        index = FragmentIndex(features, measure).build(database)
         pool = generate_chemical_database(4, seed=205)
         rng = random.Random(5)
         for graph in pool:
@@ -401,7 +380,7 @@ class TestMutationEquivalence:
             index.remove_graph(victim)
             graph_id = database.add(graph)
             index.add_graph(graph_id, graph)
-        rebuilt = FragmentIndex(features, measure, backend="trie").build(database)
+        rebuilt = FragmentIndex(features, measure).build(database)
         from repro.search import PISearch
 
         incremental = PISearch(database, index=index)
@@ -481,7 +460,7 @@ class TestPersistenceV3:
         database = generate_chemical_database(8, seed=6)
         measure = default_edge_mutation_distance()
         features = chem_features(database, measure)
-        index = FragmentIndex(features, measure, backend="trie").build(database)
+        index = FragmentIndex(features, measure).build(database)
         index.remove_graph(3)
         return index
 
@@ -509,7 +488,7 @@ class TestPersistenceV3:
         database = generate_chemical_database(8, seed=6)
         measure = default_edge_mutation_distance()
         features = chem_features(database, measure)
-        index = FragmentIndex(features, measure, backend="trie").build(database)
+        index = FragmentIndex(features, measure).build(database)
         data = index_to_dict(index)
         data["version"] = 2
         data.pop("removed_ids")
@@ -611,27 +590,6 @@ class TestEngineUpdates:
         assert answers_payload(reloaded.search(query, 2.0)) == answers_payload(
             engine.search(query, 2.0)
         )
-
-    def test_rebuild_threshold_flows_to_backends(self):
-        database = generate_weighted_database(8, seed=10)
-        config = EngineConfig(
-            selector="exhaustive",
-            selector_params=dict(SELECTOR_PARAMS),
-            measure=dict(NUMERIC_MEASURE),
-            backend="rtree",
-            rebuild_threshold=0.7,
-        )
-        engine = Engine.build(database, config)
-        for class_index in engine.index.classes():
-            assert class_index.backend.rebuild_threshold == 0.7
-        # and it round-trips through the declarative config
-        assert EngineConfig.from_dict(config.to_dict()).rebuild_threshold == 0.7
-
-    def test_rebuild_threshold_is_validated(self):
-        with pytest.raises(Exception):
-            EngineConfig(rebuild_threshold=0.0)
-        with pytest.raises(Exception):
-            EngineConfig(rebuild_threshold=2)
 
 
 # ----------------------------------------------------------------------
