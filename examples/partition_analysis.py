@@ -5,8 +5,9 @@ This example opens up the filtering phase of PIS on a single query: it
 lists the indexed fragments found in the query, their selectivities, the
 overlapping-relation graph, and the partitions chosen by the three MWIS
 solvers (Greedy, EnhancedGreedy(2), exact) — the machinery of Section 5 of
-the paper — and finally shows how the chosen partition's distance lower
-bound prunes the candidate set.
+the paper.  It asserts that the engine's partition is the one Greedy picks
+on the overlap graph, and finally shows how the chosen partition's distance
+lower bound prunes the candidate set.
 
 Run with::
 
@@ -59,8 +60,18 @@ def main():
     if len(ranked) > 10:
         print(f"  ... and {len(ranked) - 10} more")
 
-    # The overlapping-relation graph and the three MWIS solvers.
-    overlap = OverlapGraph.build(outcome.fragments, outcome.selectivities)
+    # The overlapping-relation graph over the fragments that survive the
+    # selectivity floor (the ones the engine partitions), and the three
+    # MWIS solvers.  The engine's greedy partition never builds this graph.
+    eligible = [
+        position
+        for position in range(len(outcome.fragments))
+        if outcome.selectivities[position] > pis.epsilon
+    ]
+    overlap = OverlapGraph.build(
+        [outcome.fragments[position] for position in eligible],
+        [outcome.selectivities[position] for position in eligible],
+    )
     print(f"\noverlapping-relation graph: {overlap.num_nodes} nodes, "
           f"{overlap.num_edges} overlap edges")
     greedy = greedy_mwis(overlap)
@@ -74,8 +85,13 @@ def main():
     else:
         print("exact MWIS        : skipped (overlap graph too large)")
 
-    # What the partition's lower bound buys.
+    # The engine's partition is exactly what Greedy picks on the graph.
     partition = outcome.partition
+    greedy_fragments = [outcome.fragments[eligible[node]] for node in sorted(greedy.nodes)]
+    assert partition.fragments == greedy_fragments, "engine partition differs from Greedy"
+    assert partition.weight == greedy.weight, "engine partition weight differs from Greedy"
+
+    # What the partition's lower bound buys.
     print(f"\nchosen partition: {partition.size} vertex-disjoint fragments, "
           f"total selectivity {partition.weight:.3f}")
     print(f"structure-only candidates : {outcome.report.num_structure_candidates}")

@@ -101,8 +101,12 @@ class IndexNotBuiltError(IndexError_, RuntimeError):
     """An operation requiring a built index was called before building it."""
 
 
-class PartitionError(PISError):
-    """A query-graph partition violated the vertex-disjointness constraint."""
+class PartitionError(PISError, ValueError):
+    """A query-graph partition could not be selected or is not vertex-disjoint.
+
+    Raised, for instance, when the exact MWIS solver is asked to partition a
+    query with more fragments than it is limited to.
+    """
 
 
 class DatasetError(PISError):

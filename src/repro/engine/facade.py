@@ -58,6 +58,7 @@ from ..index.sharded import (
 from ..mining.registry import make_selector
 from ..perf import PerfCounters
 from ..core.canonical import structure_code_cache
+from ..search.partition import check_partition_params
 from ..search.planner import GlobalPlanner, QueryPlan
 from ..search.registry import make_strategy, strategy_class
 from ..search.results import PruningReport, SearchResult
@@ -318,6 +319,13 @@ class Engine:
         if not isinstance(value, EngineConfig):
             raise EngineConfigError(
                 f"config must be an EngineConfig, got {type(value).__name__}"
+            )
+        if self._supports_planning(value.strategy):
+            # Reject a bad partition config now, not on the first search.
+            params = value.strategy_params
+            check_partition_params(
+                params.get("partition_method", "greedy"),
+                params.get("partition_k", 2),
             )
         self._config = value
         self._strategy = None
@@ -589,10 +597,13 @@ class Engine:
             return self._ensure_planner()
         return None
 
-    def _supports_planning(self) -> bool:
-        """Whether the configured strategy has a plan/execute split."""
+    def _supports_planning(self, strategy: Optional[str] = None) -> bool:
+        """Whether the configured (or named) strategy has a plan/execute
+        split."""
         try:
-            return hasattr(strategy_class(self.config.strategy), "execute_plan")
+            return hasattr(
+                strategy_class(strategy or self.config.strategy), "execute_plan"
+            )
         except Exception:
             return False
 

@@ -14,19 +14,34 @@ overlapping-relation graph (Theorem 1).  The paper uses:
   experiments and tests.
 
 All solvers operate on an :class:`~repro.search.overlap_graph.OverlapGraph`
-(or any object exposing ``weights``, ``adjacency``).
+(or any object exposing ``weights``, ``adjacency``).  Greedy is one sweep
+(:func:`greedy_sweep`) that also runs without the graph: the default
+partition feeds it the fragments' vertex sets directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+from ..core.errors import PartitionError
 
 from .overlap_graph import OverlapGraph
 
 __all__ = [
     "MWISResult",
+    "greedy_sweep",
     "greedy_mwis",
     "enhanced_greedy_mwis",
     "exact_mwis",
@@ -51,24 +66,53 @@ def _check_independent(graph: OverlapGraph, nodes: Iterable[int]) -> None:
         raise AssertionError("solver returned a dependent set; this is a bug")
 
 
-def greedy_mwis(graph: OverlapGraph) -> MWISResult:
-    """Algorithm 1: repeatedly take the heaviest vertex, drop its neighbours."""
-    remaining: Set[int] = set(range(graph.num_nodes))
+def greedy_order(weights: Sequence[float]) -> List[int]:
+    """Nodes in Algorithm 1's pick order: heaviest first, lowest index on ties.
+
+    ``weights`` is indexed by node (a list, or a ``{node: weight}`` dict over
+    ``range(len(weights))``).
+    """
+    return sorted(range(len(weights)), key=lambda node: (-weights[node], node))
+
+
+def greedy_sweep(
+    weights: Sequence[float],
+    probe: Callable[[int], Iterable[Hashable]],
+    claim: Callable[[int], Iterable[Hashable]],
+) -> MWISResult:
+    """Algorithm 1 as one pass over :func:`greedy_order`.
+
+    A node is taken when ``probe(node)`` misses everything claimed so far;
+    taking it claims ``claim(node)``.  Visiting nodes heaviest first this
+    way picks exactly what "take the heaviest remaining node, delete its
+    neighbours" picks, without rescanning the remaining nodes each round.
+    """
+    claimed: Set[Hashable] = set()
     selected: Set[int] = set()
-    while remaining:
-        best = max(
-            remaining,
-            key=lambda node: (graph.weights[node], -node),
-        )
-        selected.add(best)
-        remaining.discard(best)
-        remaining -= graph.adjacency[best]
-    _check_independent(graph, selected)
+    for node in greedy_order(weights):
+        if claimed.isdisjoint(probe(node)):
+            selected.add(node)
+            claimed.update(claim(node))
     return MWISResult(
         nodes=frozenset(selected),
-        weight=graph.total_weight(selected),
+        # Summed over the set as built, as this solver always has: the
+        # frozenset can iterate in another order, which can change the
+        # float sum in its last bit.
+        weight=sum(weights[node] for node in selected),
         method="greedy",
     )
+
+
+def greedy_mwis(graph: OverlapGraph) -> MWISResult:
+    """Algorithm 1: repeatedly take the heaviest vertex, drop its neighbours.
+
+    One :func:`greedy_sweep` whose claimed set is the neighbours dropped.
+    """
+    result = greedy_sweep(
+        graph.weights, lambda node: (node,), graph.adjacency.__getitem__
+    )
+    _check_independent(graph, result.nodes)
+    return result
 
 
 def enhanced_greedy_mwis(graph: OverlapGraph, k: int = 2) -> MWISResult:
@@ -120,18 +164,18 @@ def exact_mwis(graph: OverlapGraph, max_nodes: int = 40) -> MWISResult:
 
     Raises
     ------
-    ValueError
+    PartitionError
         If the overlap graph has more than ``max_nodes`` nodes; the exact
-        solver exists for tests and ablations, not for production search.
+        solver is meant for small queries, tests and ablations.
     """
     if graph.num_nodes > max_nodes:
-        raise ValueError(
-            f"exact MWIS limited to {max_nodes} nodes; got {graph.num_nodes}"
+        raise PartitionError(
+            f"exact MWIS is limited to {max_nodes} fragments; this query has "
+            f"{graph.num_nodes} (use 'greedy' or 'enhanced-greedy' for "
+            "large queries)"
         )
     # Order vertices by decreasing weight so good solutions are found early.
-    order = sorted(
-        range(graph.num_nodes), key=lambda node: -graph.weights[node]
-    )
+    order = greedy_order(graph.weights)
     suffix_weight = [0.0] * (len(order) + 1)
     for position in range(len(order) - 1, -1, -1):
         suffix_weight[position] = suffix_weight[position + 1] + max(

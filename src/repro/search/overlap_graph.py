@@ -12,8 +12,8 @@ independent set (Theorem 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Iterable, List, Sequence, Set
 
 from ..index.fragment_index import QueryFragment
 
@@ -41,12 +41,18 @@ class OverlapGraph:
         if len(fragments) != len(weights):
             raise ValueError("fragments and weights must have the same length")
         nodes = list(range(len(fragments)))
+        # Two fragments overlap exactly when some query vertex lists both,
+        # so an inverted list finds every overlap without testing all pairs.
+        holders: Dict[Hashable, List[int]] = {}
+        for node, fragment in enumerate(fragments):
+            for vertex in fragment.vertices:
+                holders.setdefault(vertex, []).append(node)
         adjacency: Dict[int, Set[int]] = {node: set() for node in nodes}
-        for i in nodes:
-            for j in range(i + 1, len(fragments)):
-                if fragments[i].overlaps(fragments[j]):
-                    adjacency[i].add(j)
-                    adjacency[j].add(i)
+        for members in holders.values():
+            for node in members:
+                adjacency[node].update(members)
+        for node in nodes:
+            adjacency[node].discard(node)
         return cls(
             fragments=list(fragments),
             weights={node: float(weights[node]) for node in nodes},

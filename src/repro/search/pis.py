@@ -33,7 +33,7 @@ from ..core.database import GraphDatabase
 from ..core.errors import IndexNotBuiltError
 from ..core.graph import LabeledGraph
 from ..index.fragment_index import FragmentIndex, QueryFragment
-from .partition import PartitionResult
+from .partition import PartitionResult, check_partition_params
 from .planner import GlobalPlanner, QueryPlan
 from .results import PruningReport
 from .strategy import SearchStrategy
@@ -81,7 +81,8 @@ class PISearch(SearchStrategy):
         Cutoff factor for selectivity estimation (Figure 11).
     partition_method / partition_k:
         MWIS solver used for the partition ("greedy", "enhanced-greedy",
-        "exact") and its ``k`` parameter.
+        "exact") and its ``k`` parameter (an int >= 1).  Anything else
+        raises :class:`~repro.core.errors.EngineConfigError` here.
     verifier:
         Registry name of the candidate verifier (``"auto"`` resolves to the
         optimized bounded verifier; see :mod:`repro.search.verify`).
@@ -128,6 +129,7 @@ class PISearch(SearchStrategy):
             measure = None
         if index is None:
             raise IndexNotBuiltError("PISearch requires a built fragment index")
+        check_partition_params(partition_method, partition_k)
         super().__init__(
             database=database,
             measure=index.measure,

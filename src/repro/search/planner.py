@@ -47,7 +47,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..core.graph import LabeledGraph
 from ..perf import MemoCache, PerfCounters, graph_signature
-from .partition import PartitionResult, select_partition
+from .partition import PartitionResult, check_partition_params, select_partition
 from .selectivity import SelectivityEstimator
 
 __all__ = ["GlobalPlanner", "QueryPlan"]
@@ -216,7 +216,9 @@ class GlobalPlanner:
         ``generation``, which is the planner's entire index contract.
     epsilon / cutoff_lambda / partition_method / partition_k:
         The pruning parameters, identical in meaning to
-        :class:`~repro.search.pis.PISearch`.
+        :class:`~repro.search.pis.PISearch`.  An unknown method or a
+        ``partition_k`` below 1 raises
+        :class:`~repro.core.errors.EngineConfigError` here.
     cache_size:
         Bound of the plan cache (LRU eviction beyond it; ``0`` disables
         storing).
@@ -236,11 +238,12 @@ class GlobalPlanner:
         cache_size: int = 256,
         counters: Optional[PerfCounters] = None,
     ):
+        check_partition_params(partition_method, partition_k)
         self.index = index
         self.epsilon = float(epsilon)
         self.cutoff_lambda = float(cutoff_lambda)
         self.partition_method = partition_method
-        self.partition_k = int(partition_k)
+        self.partition_k = partition_k
         self.counters = (
             counters
             if counters is not None
