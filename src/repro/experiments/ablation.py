@@ -1,7 +1,7 @@
 """Ablations and secondary claims of the paper.
 
 Beyond the five candidate-count figures, Section 5 and Section 7 make two
-quantitative claims that the benchmark suite also reproduces:
+quantitative claims that this module reproduces:
 
 * **Pruning cost vs. verification cost** — "The pruning process in PIS takes
   less than 1 second per query, which is negligible compared to the result

@@ -1,11 +1,11 @@
 """Experiment configuration.
 
-All experiment entry points (benchmarks, the ``run_all`` report generator,
+All experiment entry points (the tests, the ``run_all`` report generator,
 the CLI) share one configuration object so the same environment — database,
 feature set, index, query workload — is built identically everywhere.  Two
 presets are provided:
 
-* :func:`paper_scaled_config` — the default used by the benchmark harness.
+* :func:`paper_scaled_config` — the default used by the experiment harness.
   The database is smaller than the paper's 10,000-graph sample (pure-Python
   subgraph isomorphism is orders of magnitude slower than the authors' C++),
   but all *relative* quantities (candidate-set ratios, bucket shapes) are
@@ -87,7 +87,7 @@ class ExperimentConfig:
 
 
 def paper_scaled_config(**overrides) -> ExperimentConfig:
-    """Default configuration used by the benchmark harness."""
+    """Default configuration used by the experiment harness."""
     return ExperimentConfig(**overrides)
 
 

@@ -5,8 +5,8 @@ Usage::
     python -m repro.experiments.run_all [--quick] [--output EXPERIMENTS.md]
 
 ``--quick`` uses a reduced configuration (smaller database, fewer queries)
-so the full report finishes in a couple of minutes; the default
-configuration is the one the benchmark suite uses.
+so the full report finishes in a couple of minutes; the default is
+:func:`~repro.experiments.paper_scaled_config`.
 """
 
 from __future__ import annotations

@@ -259,7 +259,8 @@ class MemoCache:
     """Bounded LRU memo cache with hit/miss/eviction accounting.
 
     When a ``counters`` sink is supplied, hits and misses are also recorded
-    there as ``"<name>.cache_hits"`` / ``"<name>.cache_misses"``.
+    there as ``"<name>.cache_hits"`` / ``"<name>.cache_misses"``.  A
+    ``maxsize`` of 0 stores nothing: every lookup is a miss.
     """
 
     #: sentinel returned by :meth:`get` on a miss (``None`` is a valid value)
@@ -273,8 +274,8 @@ class MemoCache:
         maxsize: int = 1024,
         counters: Optional[PerfCounters] = None,
     ):
-        if maxsize < 1:
-            raise ValueError("maxsize must be positive")
+        if maxsize < 0:
+            raise ValueError("maxsize must be >= 0")
         self.name = name
         self.maxsize = maxsize
         self.hits = 0
@@ -304,6 +305,8 @@ class MemoCache:
 
     def put(self, key: Any, value: Any) -> None:
         """Store ``value`` under ``key``, evicting the LRU entry if full."""
+        if self.maxsize == 0:
+            return
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)

@@ -2,7 +2,7 @@
 
 These used to live in ``tests/conftest.py``, but importing helpers *from* a
 conftest is fragile: pytest imports every ``conftest.py`` it discovers
-under the module name ``conftest``, so when the benchmark suite's conftest
+under the module name ``conftest``, so when another directory's conftest
 is collected first, ``from conftest import build_graph`` in a test module
 resolves to the wrong file.  A regular module with a unique name has no
 such ambiguity — test modules do ``from helpers import build_graph``.
@@ -24,6 +24,7 @@ __all__ = [
     "random_molecule",
     "random_connected_subgraph",
     "oracle_answers",
+    "quick_environment",
     "LinearScanBackend",
 ]
 
@@ -100,6 +101,23 @@ def oracle_answers(database, measure, query, sigma):
     ).search(query, sigma)
     ids = list(result.answer_ids)
     return ids, {graph_id: result.answer_distances[graph_id] for graph_id in ids}
+
+
+def quick_environment():
+    """The 60-graph experiment environment the exact work-counter checks
+    run on (4 queries per set, features up to 4 edges).  Built once per
+    process: :func:`repro.experiments.build_environment` caches it."""
+    from repro.experiments import build_environment, paper_scaled_config
+
+    return build_environment(
+        paper_scaled_config(
+            database_size=60,
+            queries_per_set=4,
+            feature_max_edges=4,
+            max_features=100,
+            feature_sample_size=20,
+        )
+    )
 
 
 class LinearScanBackend:

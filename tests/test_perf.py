@@ -139,6 +139,14 @@ class TestMemoCache:
         assert cache.get("a") == 1
         assert cache.stats()["evictions"] == 1
 
+    def test_size_zero_stores_nothing(self):
+        cache = MemoCache("t", maxsize=0)
+        cache.put("k", 1)
+        assert cache.get("k") is MemoCache.MISS
+        assert cache.stats()["size"] == 0 and cache.stats()["evictions"] == 0
+        with pytest.raises(ValueError):
+            MemoCache("t", maxsize=-1)
+
     def test_counters_sink_records_hits_and_misses(self):
         sink = PerfCounters()
         cache = MemoCache("probe", maxsize=4, counters=sink)

@@ -25,15 +25,17 @@ import pytest
 
 from repro.cli import _load_warm_queries, main as cli_main
 from repro.core import GraphDatabase, default_edge_mutation_distance
+from repro.core.canonical import structure_code_cache
 from repro.core.errors import EngineConfigError
 from repro.datasets.generator import generate_chemical_database
 from repro.datasets.queries import QueryWorkload
 from repro.engine import Engine, EngineConfig
 from repro.index import FragmentIndex, ShardedFragmentIndex
 from repro.mining.exhaustive import ExhaustiveFeatureSelector
+from repro.perf import GLOBAL_COUNTERS
 from repro.search import GlobalPlanner, PISearch, QueryPlan
 
-from helpers import oracle_answers
+from helpers import oracle_answers, quick_environment
 
 SELECTOR_PARAMS = {
     "max_edges": 3,
@@ -277,6 +279,48 @@ class TestPlannedEquivalence:
     def test_planned_sharded_byte_identical_across_topologies(self, seed):
         planner_scenario(seed)
 
+    def test_sharded_filter_work_equals_single_shard(self):
+        """One plan per query, shipped to every shard: a 4-shard engine
+        plans, range-queries and keeps candidates exactly like 1 shard."""
+        environment = quick_environment()
+        queries = environment.workload.sample_queries(num_edges=16, count=32)
+        sharded = ShardedFragmentIndex.build(
+            environment.database,
+            environment.features,
+            environment.measure,
+            num_shards=4,
+        )
+        counted = ("plan.calls", "plan.range_queries", "filter.candidates")
+
+        def run_batch(engine):
+            before = GLOBAL_COUNTERS.snapshot()
+            payloads = [
+                answers_payload(result)
+                for sigma in (1.0, 2.0)
+                for result in engine.search_many(queries, sigma)
+            ]
+            return GLOBAL_COUNTERS.delta(before), payloads
+
+        work, answers = [], []
+        for index in (environment.index, sharded):
+            index.clear_caches()
+            structure_code_cache().clear()
+            engine = Engine.from_index(
+                environment.database, index, executor="serial"
+            )
+            delta, payloads = run_batch(engine)
+            work.append([int(delta.get(name, 0)) for name in counted])
+            answers.append(payloads)
+        assert work[0] == work[1] == [64, 7884, 2046]
+        assert answers[0] == answers[1]
+
+        # A warm repeat on the sharded engine (the last one built) is
+        # planned entirely from its plan cache.
+        delta, payloads = run_batch(engine)
+        assert delta.get("plan.cache_hits", 0) == 64
+        assert delta.get("plan.calls", 0) == 0
+        assert payloads == answers[1]
+
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_executors_ship_the_same_plan(self, engines, queries, executor):
         plain, _, four = engines
@@ -333,6 +377,20 @@ class TestWarmAndExplain:
             stats = engine.serving_stats()
             assert stats["plan_cache"]["name"] == "plan"
             assert stats["plan_cache"]["maxsize"] == engine.config.plan_cache_size
+
+    def test_plan_cache_size_zero_stores_nothing(self, database, queries):
+        engine = Engine.build(
+            copy.deepcopy(database), EngineConfig(plan_cache_size=0, **CONFIG)
+        )
+        before = GLOBAL_COUNTERS.snapshot()
+        for _ in range(2):
+            result = engine.search(queries[0], 2.0)
+            assert result.report.planned
+            assert answers_payload(result) == oracle_answers(
+                engine.database, engine.measure, queries[0], 2.0
+            )
+        assert GLOBAL_COUNTERS.delta(before).get("plan.cache_hits", 0) == 0
+        assert len(engine.planner.cache) == 0
 
     def test_plan_cache_size_config_round_trips(self):
         config = EngineConfig(plan_cache_size=16)

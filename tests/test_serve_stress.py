@@ -644,13 +644,19 @@ def test_mixed_search_update_storm_matches_serial_control(
             final = [
                 await server.submit(query, 2.0) for query in stress_queries
             ]
-        return tallies[1:], final
+            server_stats = server.stats()["server"]
+        return tallies[1:], final, server_stats
 
-    tallies, final = asyncio.run(run())
+    tallies, final, server_stats = asyncio.run(run())
     submitted = 6 * len(stress_queries)
     answered = sum(a for a, _ in tallies)
     shed = sum(s for _, s in tallies)
     assert answered + shed == submitted  # nothing lost mid-storm
+    # The server's own accounting agrees with the clients' tallies, and
+    # admission control never let the queue outgrow its bound.
+    assert server_stats["shed"] == shed
+    assert server_stats["accepted"] == answered + len(stress_queries)
+    assert server_stats["queue_high_water"] <= 3
 
     for additions, removals in batches:
         control_engine.remove_graphs(removals)

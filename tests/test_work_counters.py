@@ -1,0 +1,95 @@
+"""Exact filter work counters and oracle answers on fixed workloads.
+
+Two filtering workloads run on the quick 60-graph environment
+(``helpers.quick_environment``):
+
+* ``pruning_cost`` — the Q16 query set at sigma 1, 2 and 3;
+* ``figure10`` — the Q24 query set at sigma 1, 3 and 5.
+
+Each runs the PIS filter cold (every memo cache cleared first) over two
+passes of its query set.  The range queries the planner issues
+(``plan.range_queries``) and the candidates the filter keeps
+(``filter.candidates``) are hardware-independent, so they are pinned to
+exact values: a change to enumeration, the range-query cache, the planner
+or the partition that does more (or different) filter work shows up here
+as a changed count.  One full search per ``(query, sigma)`` must also
+answer exactly like the NaiveSearch oracle.
+
+Wall-clock speed is judged by the repository benchmark (``perfbench/``),
+not here.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core.canonical import structure_code_cache
+from repro.perf import GLOBAL_COUNTERS
+from repro.search import PISearch
+
+from helpers import oracle_answers, quick_environment
+
+#: (name, query edges, sigmas, rounds, exact plan.range_queries,
+#: exact filter.candidates)
+WORKLOADS = [
+    ("pruning_cost", 16, (1.0, 2.0, 3.0), 2, 1488, 1042),
+    ("figure10", 24, (1.0, 3.0, 5.0), 2, 2499, 964),
+]
+
+
+@pytest.fixture(scope="module")
+def environment():
+    return quick_environment()
+
+
+def workload_queries(environment, query_edges):
+    return environment.workload.sample_queries(
+        num_edges=query_edges, count=environment.config.queries_per_set
+    )
+
+
+@pytest.mark.parametrize(
+    "name, query_edges, sigmas, rounds, range_queries, candidates",
+    WORKLOADS,
+    ids=[workload[0] for workload in WORKLOADS],
+)
+def test_cold_filter_work_is_exact(
+    environment, name, query_edges, sigmas, rounds, range_queries, candidates
+):
+    queries = workload_queries(environment, query_edges)
+    environment.index.clear_caches()
+    structure_code_cache().clear()
+    pis = PISearch(environment.index, environment.database)
+
+    before = GLOBAL_COUNTERS.snapshot()
+    for _ in range(rounds):
+        for query in queries:
+            for sigma in sigmas:
+                pis.candidates(query, sigma)
+    work = GLOBAL_COUNTERS.delta(before)
+
+    assert int(work.get("plan.range_queries", 0)) == range_queries, name
+    assert int(work.get("filter.candidates", 0)) == candidates, name
+
+
+@pytest.mark.parametrize(
+    "name, query_edges, sigmas",
+    [workload[:3] for workload in WORKLOADS],
+    ids=[workload[0] for workload in WORKLOADS],
+)
+def test_searches_answer_like_the_oracle(environment, name, query_edges, sigmas):
+    pis = PISearch(environment.database, index=environment.index)
+    for query in workload_queries(environment, query_edges):
+        for sigma in sigmas:
+            result = pis.search(query, sigma)
+            answers = (
+                list(result.answer_ids),
+                {
+                    graph_id: result.answer_distances[graph_id]
+                    for graph_id in result.answer_ids
+                },
+            )
+            expected = oracle_answers(
+                environment.database, environment.measure, query, sigma
+            )
+            assert answers == expected, (name, query.name, sigma)
