@@ -14,6 +14,7 @@ from .errors import (
     IndexError_,
     IndexNotBuiltError,
     InvalidSigmaError,
+    StaleShardStateError,
     PartitionError,
     PISError,
     SerializationError,
@@ -82,6 +83,7 @@ __all__ = [
     "EngineError",
     "EngineConfigError",
     "InvalidSigmaError",
+    "StaleShardStateError",
     "UnknownComponentError",
     # graph
     "LabeledGraph",

@@ -25,6 +25,7 @@ __all__ = [
     "EngineError",
     "EngineConfigError",
     "InvalidSigmaError",
+    "StaleShardStateError",
     "UnknownComponentError",
     "ServeError",
     "ServeOverloadedError",
@@ -132,6 +133,17 @@ class InvalidSigmaError(EngineError, ValueError):
     nothing.  Every other float is a defined threshold: a negative sigma
     answers no graph (superimposed distances are non-negative) and
     ``inf`` answers every live graph.
+    """
+
+
+class StaleShardStateError(EngineError):
+    """A scatter task named shard state its process does not hold.
+
+    Scatter tasks find their shard in the state the engine published
+    before the pool forked (:mod:`repro.exec`).  A task whose publication
+    token is unknown to the process, or whose index generation differs
+    from the published one, is refused rather than answered from stale
+    shards.
     """
 
 

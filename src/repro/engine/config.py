@@ -83,8 +83,10 @@ class EngineConfig:
         ``"thread"`` — the default — or ``"process"``) that runs parallel
         work: shard scatter-gather and parallel candidate verification.
         ``"process"`` is the only kind that sidesteps the GIL for
-        pure-Python CPU work; it requires picklable payloads and degrades
-        to serial where process pools are unavailable.
+        pure-Python CPU work; its workers fork from the engine's process
+        (scatter workers inherit the shards instead of receiving them) and
+        it degrades to serial where ``fork`` or process pools are
+        unavailable.
     result_cache_size:
         Capacity of the serving-mode query-result cache
         (:class:`repro.serve.QueryResultCache`), in results.  The cache

@@ -26,8 +26,11 @@ as before, with per-call executors and no result cache.
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -39,6 +42,7 @@ from ..core.errors import (
     EngineError,
     InvalidSigmaError,
     SerializationError,
+    StaleShardStateError,
     WalError,
 )
 from ..core.graph import LabeledGraph
@@ -223,29 +227,63 @@ def _filter_only_search(
     )
 
 
-def _run_shard_queries(
-    strategy: SearchStrategy,
-    queries: Sequence[LabeledGraph],
-    sigma: float,
-    verify: bool,
-    verify_workers: Optional[int],
-    plans: Optional[Sequence[Optional[QueryPlan]]] = None,
-) -> List[SearchResult]:
-    """One shard's slice of a scatter: run every query sequentially.
+_PUBLICATION_TOKENS = itertools.count()
 
-    Shared by the in-process scatter path and the process-executor task so
-    the two can never diverge; parallelism comes from running shards
-    concurrently, not from within this loop.  ``plans`` carries the
-    driver's per-query plans (parallel to ``queries``) — with one in hand a
-    shard executes it instead of re-planning over shard-local statistics.
+
+class _PublishedShards:
+    """One generation's per-shard strategies, published for scatter tasks.
+
+    Each strategy pairs a shard's :class:`FragmentIndex` with its
+    :class:`~repro.index.ShardDatabaseView`.  ``token`` is unique per
+    publication within a process, so a task can never pick up another
+    engine's shards, nor a republished engine's previous ones.
     """
+
+    __slots__ = ("token", "generation", "strategies", "__weakref__")
+
+    def __init__(self, generation: int, strategies: List[SearchStrategy]):
+        self.token = next(_PUBLICATION_TOKENS)
+        self.generation = generation
+        self.strategies = strategies
+
+
+#: token -> published shards.  A module global because a task can reach
+#: nothing else by name: process workers forked after a publication inherit
+#: this registry, so scatter items carry the token, not the shards.  Weak
+#: values: an entry lives as long as its engine keeps it current.
+_PUBLISHED_SHARDS: "weakref.WeakValueDictionary[int, _PublishedShards]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _shard_task(item: Dict[str, Any]) -> List[SearchResult]:
+    """Executor task of the sharded scatter-gather: one shard, all queries.
+
+    ``item`` is plain data: the publication ``token`` and index
+    ``generation`` the driver scattered under, the ``shard`` position, the
+    ``queries`` with their driver-side ``plans``, ``sigma`` and the verify
+    flags.  The shard itself comes from :data:`_PUBLISHED_SHARDS` — looked
+    up in-process by the serial and thread executors, inherited at fork by
+    process workers.  A task whose publication this process does not hold
+    raises :class:`~repro.core.errors.StaleShardStateError` instead of
+    answering from stale shards.  Queries run sequentially: parallelism
+    comes from running shards concurrently.
+    """
+    published = _PUBLISHED_SHARDS.get(item["token"])
+    if published is None or published.generation != item["generation"]:
+        held = "none" if published is None else f"generation {published.generation}"
+        raise StaleShardStateError(
+            f"scatter task for publication {item['token']} at generation "
+            f"{item['generation']}, but this process holds {held}"
+        )
+    strategy = published.strategies[item["shard"]]
+    sigma = item["sigma"]
     results: List[SearchResult] = []
-    for position, query in enumerate(queries):
-        plan = plans[position] if plans is not None else None
-        if verify:
+    for query, plan in zip(item["queries"], item["plans"]):
+        if item["verify"]:
             results.append(
                 strategy.search(
-                    query, sigma, verify_workers=verify_workers, plan=plan
+                    query, sigma, verify_workers=item["verify_workers"], plan=plan
                 )
             )
         else:
@@ -253,29 +291,11 @@ def _run_shard_queries(
     return results
 
 
-def _shard_batch_task(payload: Dict[str, Any]) -> List[SearchResult]:
-    """Executor task of the sharded scatter-gather: one shard, all queries.
-
-    The payload is a plain dict (picklable for the process executor) naming
-    the shard's database view, its fragment index, the strategy
-    configuration, and the driver's per-query plans; the strategy is built
-    inside the task so worker processes construct their own.
-    """
-    strategy = make_strategy(
-        payload["strategy"],
-        payload["database"],
-        measure=payload["index"].measure,
-        index=payload["index"],
-        **payload["strategy_params"],
-    )
-    return _run_shard_queries(
-        strategy,
-        payload["queries"],
-        payload["sigma"],
-        payload["verify"],
-        payload["verify_workers"],
-        plans=payload.get("plans"),
-    )
+def _resident_key(
+    name: str, workers: int, counters: Optional[PerfCounters]
+) -> Tuple[str, int, bool]:
+    """The key a started engine files a resident executor under."""
+    return (name, int(workers), counters is not None)
 
 
 class Engine:
@@ -298,6 +318,8 @@ class Engine:
         self._planner: Optional[GlobalPlanner] = None
         self._started = False
         self._resident_executors: Dict[Tuple[str, int, bool], Executor] = {}
+        self._published: Optional[_PublishedShards] = None
+        self._publish_lock = threading.Lock()
         self._result_cache: Optional[QueryResultCache] = None
         self._wal: Optional[WriteAheadLog] = None
         self._wal_applied_lsn = 0
@@ -414,7 +436,7 @@ class Engine:
         """
         if not self._started:
             return make_executor(name, workers=workers, counters=counters)
-        key = (name, int(workers), counters is not None)
+        key = _resident_key(name, workers, counters)
         pool = self._resident_executors.get(key)
         if pool is None:
             pool = make_executor(name, workers=workers, counters=counters)
@@ -458,10 +480,16 @@ class Engine:
         # Worker copies must never log to the parent's write-ahead log:
         # the parent already committed the batch before the copy was made.
         state["_wal"] = None
+        # A copy publishes its own shards: reusing the original's
+        # publication token would scatter over the original's state.
+        state["_published"] = None
+        state["_shard_strategies"] = None
+        del state["_publish_lock"]
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
+        self._publish_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # construction
@@ -766,41 +794,41 @@ class Engine:
             ]
         return self._shard_strategies
 
-    def _shard_payloads(
-        self,
-        queries: Sequence[LabeledGraph],
-        sigma: float,
-        verify_workers: Optional[int],
-        plans: Optional[Sequence[Optional[QueryPlan]]] = None,
-    ) -> List[Dict[str, Any]]:
-        """Picklable per-shard task payloads for the process executor.
+    def _publish_shards(
+        self, executor_name: str
+    ) -> Tuple[_PublishedShards, Executor]:
+        """Publish this generation's shards; return them with the scatter pool.
 
-        ``plans`` (parallel to ``queries``) rides along into every worker:
-        a :class:`~repro.search.planner.QueryPlan` is a plain frozen
-        dataclass whose pickle drops the raw range maps, so shipping one
-        costs little more than its candidate ids and bounds.
+        A new publication is made when the shard strategies were rebuilt
+        (after a write or a config change) or the index generation moved.
+        Workers of a resident process pool hold what they inherited at
+        fork, so a new publication also closes that pool; the pool returned
+        here is then forked afresh, after the publication.  One lock covers
+        both steps, so concurrent searches never map over a pool forked
+        before the publication they scatter under.
         """
         index: ShardedFragmentIndex = self.index
-        return [
-            {
-                "strategy": self.config.strategy,
-                "strategy_params": self._injected_strategy_params(
-                    self.config.strategy,
-                    self.config.strategy_params,
-                    verify_executor="thread",
-                ),
-                "database": ShardDatabaseView(
-                    self.database, index.num_shards, position
-                ),
-                "index": shard,
-                "queries": list(queries),
-                "sigma": sigma,
-                "verify": self.config.verify,
-                "verify_workers": verify_workers,
-                "plans": list(plans) if plans is not None else None,
-            }
-            for position, shard in enumerate(index.shards)
-        ]
+        # Whatever executor this scatter uses, a process scatter pool
+        # forked earlier would hold the old state.
+        process_key = _resident_key("process", index.num_shards, index.counters)
+        with self._publish_lock:
+            strategies = self._shard_strategy_list()
+            published = self._published
+            if (
+                published is None
+                or published.strategies is not strategies
+                or published.generation != index.generation
+            ):
+                published = _PublishedShards(index.generation, strategies)
+                _PUBLISHED_SHARDS[published.token] = published
+                self._published = published
+                stale = self._resident_executors.pop(process_key, None)
+                if stale is not None:
+                    stale.close()
+            pool = self._executor(
+                executor_name, index.num_shards, counters=index.counters
+            )
+        return published, pool
 
     def _scatter(
         self,
@@ -814,10 +842,14 @@ class Engine:
         Every shard answers every query over its own partition; the
         per-shard results merge into per-query global results
         (:func:`repro.index.merge_search_results`) that are byte-identical
-        in answer ids and distances to an unsharded engine's.  The process
-        executor ships ``(shard index, database view)`` payloads and merges
-        the workers' counter deltas back into the sharded index's sink, so
-        :meth:`profile` sees the work wherever it ran.
+        in answer ids and distances to an unsharded engine's.  Every
+        executor runs the same task over the same plain items — the
+        publication token, shard position and generation, the queries, the
+        plans, sigma and the verify flags — and the shards themselves are
+        read from the published state (inherited at fork by process
+        workers).  Process workers' counter deltas merge back into the
+        sharded index's sink, so :meth:`profile` sees the work wherever it
+        ran.
         """
         index: ShardedFragmentIndex = self.index
         num_shards = index.num_shards
@@ -828,35 +860,30 @@ class Engine:
             )
         # Enumerate each query's fragments once, not once per shard: the
         # result is shard-independent, and warming the shard caches here
-        # also ships into process-executor workers with the pickled shards.
+        # also reaches process workers, which fork after this point.
         index.prewarm_query_fragments(queries)
         # Plan once, execute everywhere: global selectivities, one MWIS
         # solve, and the full filtering outcome computed on the driver,
         # instead of per shard.  The plans carry that outcome, so shard
         # tasks only restrict it to their live ids — no backend work.
         plans = self.plan_queries(queries, sigma)
-        if executor_name == "process":
-            payloads = self._shard_payloads(
-                queries, sigma, verify_workers, plans=plans
-            )
-            pool = self._executor(
-                "process", num_shards, counters=index.counters
-            )
-            per_shard = pool.map_counted(
-                _shard_batch_task, payloads, sink=index.counters
-            )
-        else:
-            strategies = self._shard_strategy_list()
-            verify = self.config.verify
-            pool = self._executor(
-                executor_name, num_shards, counters=index.counters
-            )
-            per_shard = pool.map(
-                lambda strategy: _run_shard_queries(
-                    strategy, queries, sigma, verify, verify_workers, plans
-                ),
-                strategies,
-            )
+        published, pool = self._publish_shards(executor_name)
+        queries = list(queries)
+        plans = list(plans) if plans is not None else [None] * len(queries)
+        items = [
+            {
+                "token": published.token,
+                "shard": position,
+                "generation": published.generation,
+                "queries": queries,
+                "plans": plans,
+                "sigma": sigma,
+                "verify": self.config.verify,
+                "verify_workers": verify_workers,
+            }
+            for position in range(num_shards)
+        ]
+        per_shard = pool.map_counted(_shard_task, items, sink=index.counters)
         num_live = len(self.database)
         return [
             merge_search_results(

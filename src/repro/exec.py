@@ -18,12 +18,24 @@ of an implementation detail:
     picklable — but pure-Python CPU work stays GIL-bound.
 
 :class:`ProcessExecutor` (``"process"``)
-    A :class:`~concurrent.futures.ProcessPoolExecutor`.  The only executor
-    that achieves real CPU parallelism for pure-Python work; task functions
-    and payloads must be picklable (module-level functions, plain data).
-    When a pool cannot be created or a payload cannot be pickled, it
-    degrades to the serial path rather than failing the caller (mirroring
-    the parallel-build fallback of :class:`repro.index.FragmentIndex`).
+    A :class:`~concurrent.futures.ProcessPoolExecutor` whose workers are
+    created with the ``fork`` start method.  The only executor that
+    achieves real CPU parallelism for pure-Python work; task functions and
+    items must be picklable (module-level functions, plain data).  When a
+    pool cannot be created (no ``fork`` on the platform, a sandbox without
+    process support) or a payload cannot be pickled, it degrades to the
+    serial path rather than failing the caller (mirroring the
+    parallel-build fallback of :class:`repro.index.FragmentIndex`).
+
+Forked workers inherit the caller's memory as it was when the pool forked,
+so large read-only state need not travel with every task: the caller
+publishes it in a module-level registry *before* the pool forks, and tasks
+carry only the key to look it up.  The sharded engine's scatter works this
+way (:meth:`repro.engine.Engine.search`): each task names its shard by a
+publication token and position instead of shipping the shard's index.  The
+state a worker sees is frozen at the fork, so a caller that republishes
+must close any resident pool forked before it and map over a pool started
+afterwards.
 
 Results always come back in task order, whatever the executor, so callers
 can rely on deterministic merging.
@@ -32,7 +44,7 @@ Executors run in one of two modes.  By default every :meth:`Executor.map`
 call builds (and tears down) its own pool — the right shape for one-shot
 batch work.  Calling :meth:`Executor.start` switches the executor to
 *resident* mode: a long-lived pool is created once (worker processes are
-spawned eagerly, so the first query never pays the fork cost) and reused by
+forked eagerly, so the first query never pays the fork cost) and reused by
 every subsequent ``map`` until :meth:`Executor.close`.  Resident executors
 are what the serving subsystem (:mod:`repro.serve`) keeps warm between
 requests; ``with make_executor("process", workers=4) as pool: ...`` scopes
@@ -58,6 +70,7 @@ Examples
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -81,7 +94,8 @@ __all__ = [
 EXECUTOR_KINDS = ("serial", "thread", "process")
 
 #: errors that mean "this platform or payload cannot run a process pool":
-#: sandboxes without fork/spawn support (OSError/RuntimeError/ValueError),
+#: platforms without the ``fork`` start method (ValueError), sandboxes
+#: without process support (OSError/RuntimeError),
 #: unpicklable task functions or payloads (PicklingError/TypeError/
 #: AttributeError), and workers dying mid-flight (EOFError, BrokenProcessPool
 #: — a RuntimeError subclass).  Exceptions raised by the *task function*
@@ -98,6 +112,17 @@ PROCESS_POOL_ERRORS = (
     AttributeError,
     EOFError,
 )
+
+
+def _fork_pool(size: int) -> ProcessPoolExecutor:
+    """A process pool of ``size`` workers forked from the calling process.
+
+    Raises ``ValueError`` where the platform has no ``fork`` start method;
+    callers treat that like any other pool failure.
+    """
+    return ProcessPoolExecutor(
+        max_workers=size, mp_context=multiprocessing.get_context("fork")
+    )
 
 
 def _guarded_call(payload: Tuple[Callable[[Any], Any], Any]) -> Tuple[bool, Any]:
@@ -307,7 +332,7 @@ class ProcessExecutor(Executor):
         """
         if not self._started:
             try:
-                pool = ProcessPoolExecutor(max_workers=self.resident_size())
+                pool = _fork_pool(self.resident_size())
                 # Force the workers into existence now: serving latency must
                 # not pay the spawn cost on the first query, and sandboxes
                 # that only fail at first use should fail here, once.
@@ -367,7 +392,7 @@ class ProcessExecutor(Executor):
         and are re-raised by the caller with their original type.
         """
         try:
-            with ProcessPoolExecutor(max_workers=size) as pool:
+            with _fork_pool(size) as pool:
                 return list(pool.map(wrapper, [(fn, item) for item in items]))
         except PROCESS_POOL_ERRORS:
             self.counters.increment("exec.process_fallbacks")

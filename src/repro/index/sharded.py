@@ -173,35 +173,6 @@ class ShardDatabaseView:
         """Rebinding revision of the slot (delegates to the database)."""
         return self._database.revision(graph_id)
 
-    # ------------------------------------------------------------------
-    # pickling (views travel into process-executor workers)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, Any]:
-        # Ship only the shard's own graphs into worker processes: foreign
-        # slots travel as tombstones, so ids, revisions, and the global
-        # bound stay aligned while the payload shrinks by a factor of
-        # num_shards.
-        database = self._database
-        pruned = GraphDatabase(name=database.name)
-        pruned._graphs = [
-            graph if self._owns(graph_id) else None
-            for graph_id, graph in enumerate(database._graphs)
-        ]
-        pruned._revisions = list(database._revisions)
-        pruned._num_live = sum(1 for graph in pruned._graphs if graph is not None)
-        pruned._generation = database.generation
-        return {
-            "database": pruned,
-            "num_shards": self.num_shards,
-            "shard_position": self.shard_position,
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self._database = state["database"]
-        self.num_shards = state["num_shards"]
-        self.shard_position = state["shard_position"]
-        self._live_count = None
-
 
 class _MergedClassView:
     """Read-only merged view of one equivalence class across all shards.

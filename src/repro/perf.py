@@ -21,12 +21,20 @@ Three facilities live here:
 
 :class:`Histogram`
     A fixed-boundary latency/size distribution for the serving metrics.
+
+Counters and caches are fork-safe: process workers fork from a
+multi-threaded parent and use the inherited counters and caches in place,
+so a forked child gives every live instance a fresh lock
+(``os.register_at_fork``) instead of inheriting one another thread held at
+the fork.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
+import weakref
 from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -41,6 +49,25 @@ __all__ = [
     "skeleton_signature",
 ]
 
+#: every live counter sink and memo cache (see _renew_locks)
+_LOCK_OWNERS: "weakref.WeakSet[Any]" = weakref.WeakSet()
+
+
+def _renew_locks() -> None:
+    """Give every counter sink and memo cache a fresh lock in a forked child.
+
+    Process workers fork from a parent whose other threads may hold one of
+    these locks at that instant; the child inherits it held, with no thread
+    left to release it.  A child starts single-threaded, so fresh locks are
+    safe.
+    """
+    for owner in list(_LOCK_OWNERS):
+        owner._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_locks)
+
 
 class PerfCounters:
     """Named counters plus accumulated wall-clock timers.
@@ -53,12 +80,13 @@ class PerfCounters:
     mirror of its own).
     """
 
-    __slots__ = ("_values", "_lock", "_mirror")
+    __slots__ = ("_values", "_lock", "_mirror", "__weakref__")
 
     def __init__(self, mirror: Optional["PerfCounters"] = None):
         self._values: Dict[str, float] = {}
         self._lock = threading.Lock()
         self._mirror = mirror
+        _LOCK_OWNERS.add(self)
 
     # ------------------------------------------------------------------
     # updates
@@ -162,6 +190,7 @@ class PerfCounters:
         self._values = dict(state.get("values", {}))
         self._lock = threading.Lock()
         self._mirror = GLOBAL_COUNTERS if state.get("mirrored") else None
+        _LOCK_OWNERS.add(self)
 
 
 #: Process-wide counter sink: every component-owned PerfCounters mirrors
@@ -266,7 +295,17 @@ class MemoCache:
     #: sentinel returned by :meth:`get` on a miss (``None`` is a valid value)
     MISS = object()
 
-    __slots__ = ("name", "maxsize", "hits", "misses", "evictions", "_data", "_lock", "_counters")
+    __slots__ = (
+        "name",
+        "maxsize",
+        "hits",
+        "misses",
+        "evictions",
+        "_data",
+        "_lock",
+        "_counters",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -284,6 +323,7 @@ class MemoCache:
         self._data: "OrderedDict[Any, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self._counters = counters
+        _LOCK_OWNERS.add(self)
 
     def get(self, key: Any) -> Any:
         """Return the cached value for ``key`` or :data:`MISS`."""
@@ -369,6 +409,7 @@ class MemoCache:
         self._data = OrderedDict(state.get("data", ()))
         self._lock = threading.Lock()
         self._counters = state.get("counters")
+        _LOCK_OWNERS.add(self)
 
 
 # ----------------------------------------------------------------------

@@ -287,7 +287,7 @@ class TestShardDatabaseView:
         restored = pickle.loads(pickle.dumps(view))
         assert restored.graph_ids() == view.graph_ids()
         assert restored.id_bound == view.id_bound
-        # Foreign slots travel as tombstones.
+        # A restored view still answers only for its own shard.
         with pytest.raises(DatasetError):
             restored[2]
 
