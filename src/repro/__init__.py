@@ -127,14 +127,11 @@ from .search import (
     TopoPruneSearch,
     Verifier,
     available_strategies,
-    available_verifiers,
     enhanced_greedy_mwis,
     exact_mwis,
     greedy_mwis,
     make_strategy,
-    make_verifier,
     register_strategy,
-    register_verifier,
     select_partition,
 )
 
@@ -157,9 +154,6 @@ __all__ = [
     "register_strategy",
     "make_strategy",
     "available_strategies",
-    "register_verifier",
-    "make_verifier",
-    "available_verifiers",
     "register_executor",
     "make_executor",
     "available_executors",

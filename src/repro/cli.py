@@ -14,11 +14,9 @@ Subcommands
 ``query``
     Answer SSSD queries against a database + index (or saved engine),
     comparing PIS with the baselines; ``--workers`` batches the queries
-    over a worker pool, ``--verify-workers`` parallelizes candidate
-    verification within each query, ``--verifier`` picks the
-    verification implementation (``auto``/``bounded``/``legacy``), and
-    ``--kernel`` picks the superposition search kernel
-    (``auto``/``array``/``legacy`` — byte-identical answers).
+    over a worker pool, and ``--compare-naive`` checks every answer and
+    distance against the oracle (the naive scan with the reference
+    verifier and the recursive reference kernel).
 ``explain``
     Plan sampled queries without mutating anything and print each plan —
     chosen partition, per-fragment selectivities, and estimated vs.
@@ -94,6 +92,7 @@ from .datasets.generator import generate_chemical_database
 from .datasets.queries import QueryWorkload
 from .engine import Engine, EngineConfig
 from .index.persistence import load_index, save_index
+from .search.baselines import NaiveSearch
 from .serve import QueryServer, ServeClient
 
 __all__ = ["main", "build_parser"]
@@ -147,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=("serial", "thread", "process"),
         default=None,
-        help="executor for the engine's parallel work — shard scatter-gather "
-        "and parallel verification (overrides the config; default thread)",
+        help="executor for the engine's shard scatter-gather "
+        "(overrides the config; default thread)",
     )
     index.add_argument("--output", type=Path, help="index-only output JSON path")
     index.add_argument(
@@ -187,33 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: thread, or the engine config's executor when sharded)",
     )
     query.add_argument(
-        "--verify-workers",
-        type=int,
-        default=None,
-        help="thread-pool size for parallel candidate verification within "
-        "each query (default: the engine config's verify_workers); "
-        "GIL-bound for pure-Python verification — prefer --executor "
-        "process for wall-clock gains",
-    )
-    query.add_argument(
-        "--verifier",
-        default=None,
-        help="candidate verifier registry name (auto, bounded, legacy); "
-        "overrides the engine config",
-    )
-    query.add_argument(
-        "--kernel",
-        choices=("auto", "array", "legacy"),
-        default=None,
-        help="superposition search kernel: 'auto' and 'array' use the "
-        "vectorized kernel, 'legacy' the recursive reference search; "
-        "answers are byte-identical either way (overrides the engine "
-        "config)",
-    )
-    query.add_argument(
         "--compare-naive",
         action="store_true",
-        help="also run the naive scan (slow) to cross-check the answers",
+        help="also run the oracle — the naive scan with the reference "
+        "verifier and kernel (slow) — and check answers and distances",
     )
 
     explain = subparsers.add_parser(
@@ -545,13 +521,6 @@ def _command_query(arguments: argparse.Namespace) -> int:
         engine = Engine.from_index(
             database, index, config=_load_config(arguments.config)
         )
-    if arguments.verifier is not None:
-        # A saved engine carries a verifier choice; unlike --config, the
-        # verifier never changes answers, so overriding it is safe.
-        engine.config = engine.config.replace(verifier=arguments.verifier)
-    if arguments.kernel is not None:
-        # Same reasoning: both kernels produce byte-identical answers.
-        engine.config = engine.config.replace(kernel=arguments.kernel)
     workload = QueryWorkload(database, seed=arguments.seed)
     queries = workload.sample_queries(arguments.edges, arguments.count)
 
@@ -560,10 +529,17 @@ def _command_query(arguments: argparse.Namespace) -> int:
         arguments.sigma,
         workers=arguments.workers,
         executor=arguments.executor,
-        verify_workers=arguments.verify_workers,
     )
     topo = engine.make_strategy("topoPrune")
-    naive = engine.make_strategy("naive") if arguments.compare_naive else None
+    # The oracle verifies on its own path — the reference verifier over the
+    # recursive search — so a fault in the engine's kernel shows up here.
+    naive = (
+        NaiveSearch(
+            engine.database, engine.measure, verifier="legacy", verify_kernel="legacy"
+        )
+        if arguments.compare_naive
+        else None
+    )
 
     for position, (query, result) in enumerate(zip(queries, batch)):
         yt = len(topo.candidates(query, arguments.sigma))
@@ -574,7 +550,7 @@ def _command_query(arguments: argparse.Namespace) -> int:
         )
         if naive is not None:
             naive_result = naive.search(query, arguments.sigma)
-            agreement = set(naive_result.answer_ids) == set(result.answer_ids)
+            agreement = naive_result.answer_distances == result.answer_distances
             line += f" naive-agrees={agreement}"
         print(line)
     print(

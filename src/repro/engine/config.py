@@ -23,10 +23,19 @@ from ..index.persistence import measure_from_dict, measure_to_dict
 
 __all__ = ["EngineConfig"]
 
-#: keys of earlier configs that chose the per-class range-query store;
-#: the measure decides it now, so :meth:`EngineConfig.from_dict` drops them
-#: and saved configs that carry them keep loading
-_RETIRED_KEYS = ("backend", "backend_options", "rebuild_threshold")
+#: keys of earlier configs that :meth:`EngineConfig.from_dict` drops, so
+#: saved configs that carry them keep loading: the per-class range-query
+#: store (the measure decides it now) and the verification knobs (the
+#: engine verifies one way: the bounded verifier with the array kernel,
+#: serially in the thread that runs the query)
+_RETIRED_KEYS = (
+    "backend",
+    "backend_options",
+    "rebuild_threshold",
+    "verifier",
+    "verify_workers",
+    "kernel",
+)
 
 
 @dataclass
@@ -49,28 +58,10 @@ class EngineConfig:
     verify:
         When false, :meth:`repro.engine.Engine.search` stops after the
         filtering phase and reports an empty answer set — useful for
-        pruning-power studies that must not pay for verification.
-    verifier:
-        Registry name of the candidate verifier
-        (:func:`repro.search.verify.make_verifier`): ``"auto"`` (the
-        default, resolving to the optimized ``"bounded"`` verifier),
-        ``"bounded"``, ``"legacy"``, or any name registered through
-        :func:`repro.search.verify.register_verifier`.
-    verify_workers:
-        Default worker-pool size for parallel candidate verification
-        (``0`` = serial).  Per-call overrides are available on
-        :meth:`repro.engine.Engine.search` and
-        :meth:`~repro.engine.Engine.search_many`.  Results are
-        byte-identical to serial.  The pool *kind* follows ``executor``:
-        thread pools (the default) are GIL-bound for pure-Python distance
-        computation, while ``executor="process"`` verifies candidates in
-        worker processes for real CPU parallelism.
-    kernel:
-        Superposition search kernel used during verification: ``"auto"``
-        (the default) and ``"array"`` both use the array kernel of
-        :mod:`repro.core.kernel` wherever it can run; ``"legacy"`` uses the
-        recursive reference search, the verification oracle.  Both
-        kernels return byte-identical distances and answers.
+        pruning-power studies that must not pay for verification.  When
+        true, candidates are verified by
+        :class:`repro.search.BoundedVerifier` with the array kernel,
+        serially in the thread that runs the query or the shard task.
     shards:
         Number of database shards (default ``1`` = the classic unsharded
         engine).  With ``shards > 1``, :meth:`repro.engine.Engine.build`
@@ -80,12 +71,12 @@ class EngineConfig:
         the unsharded engine.
     executor:
         Registry name of the :mod:`repro.exec` executor (``"serial"``,
-        ``"thread"`` — the default — or ``"process"``) that runs parallel
-        work: shard scatter-gather and parallel candidate verification.
-        ``"process"`` is the only kind that sidesteps the GIL for
-        pure-Python CPU work; its workers fork from the engine's process
-        (scatter workers inherit the shards instead of receiving them) and
-        it degrades to serial where ``fork`` or process pools are
+        ``"thread"`` — the default — or ``"process"``) that runs the shard
+        scatter-gather of a sharded engine; each shard task verifies its
+        candidates serially.  ``"process"`` is the only kind that sidesteps
+        the GIL for pure-Python CPU work; its workers fork from the engine's
+        process (scatter workers inherit the shards instead of receiving
+        them) and it degrades to serial where ``fork`` or process pools are
         unavailable.
     result_cache_size:
         Capacity of the serving-mode query-result cache
@@ -144,9 +135,6 @@ start`); ``0`` disables it even there.  Entries are keyed by query
     strategy: str = "pis"
     strategy_params: Dict[str, Any] = field(default_factory=dict)
     verify: bool = True
-    verifier: str = "auto"
-    verify_workers: int = 0
-    kernel: str = "auto"
     shards: int = 1
     executor: str = "thread"
     result_cache_size: int = 1024
@@ -169,25 +157,6 @@ start`); ``0`` disables it even there.  Entries are keyed by query
             )
         if self.shards < 1:
             raise EngineConfigError(f"shards must be >= 1, got {self.shards}")
-        if not isinstance(self.verifier, str) or not self.verifier:
-            raise EngineConfigError(
-                f"verifier must be a non-empty string, got {self.verifier!r}"
-            )
-        if self.kernel not in ("auto", "array", "legacy"):
-            raise EngineConfigError(
-                "kernel must be 'auto', 'array' or 'legacy', "
-                f"got {self.kernel!r}"
-            )
-        if isinstance(self.verify_workers, bool) or not isinstance(
-            self.verify_workers, int
-        ):
-            raise EngineConfigError(
-                f"verify_workers must be an int, got {self.verify_workers!r}"
-            )
-        if self.verify_workers < 0:
-            raise EngineConfigError(
-                f"verify_workers must be >= 0, got {self.verify_workers}"
-            )
         if isinstance(self.result_cache_size, bool) or not isinstance(
             self.result_cache_size, int
         ):
@@ -285,9 +254,6 @@ start`); ``0`` disables it even there.  Entries are keyed by query
             "strategy": self.strategy,
             "strategy_params": copy.deepcopy(self.strategy_params),
             "verify": self.verify,
-            "verifier": self.verifier,
-            "verify_workers": self.verify_workers,
-            "kernel": self.kernel,
             "shards": self.shards,
             "executor": self.executor,
             "result_cache_size": self.result_cache_size,
@@ -306,8 +272,8 @@ start`); ``0`` disables it even there.  Entries are keyed by query
 
         Unknown keys are rejected so that typos in hand-written config
         files fail loudly instead of being silently ignored.  The retired
-        store-selection keys (``backend``, ``backend_options``,
-        ``rebuild_threshold``) are dropped, so older saved configs load.
+        store-selection and verification keys (``_RETIRED_KEYS``) are
+        dropped, whatever their value, so older saved configs load.
         """
         if not isinstance(data, dict):
             raise EngineConfigError(

@@ -8,8 +8,7 @@ way: :meth:`Engine.build` turns a database plus a declarative
 processes), :meth:`Engine.search` / :meth:`Engine.search_many` answer SSSD
 queries — scatter-gathered across the shards of a sharded engine through a
 :mod:`repro.exec` executor and merged byte-identically to the unsharded
-answers, optionally in a worker pool, with per-query parallel candidate
-verification via ``verify_workers`` — and :meth:`Engine.save` /
+answers, optionally in a worker pool — and :meth:`Engine.save` /
 :meth:`Engine.load` round-trip the configuration and the built index
 together, so a reloaded engine answers every query identically.
 
@@ -25,7 +24,6 @@ as before, with per-call executors and no result cache.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import json
 import threading
@@ -180,11 +178,8 @@ def _check_sigma(sigma: float) -> None:
 
 def _search_chunk(payload: Tuple) -> List[SearchResult]:
     """Process-executor task: answer a slice of the batch on a pickled engine."""
-    engine, queries, sigma, verify_workers = payload
-    return [
-        engine.search(query, sigma, verify_workers=verify_workers)
-        for query in queries
-    ]
+    engine, queries, sigma = payload
+    return [engine.search(query, sigma) for query in queries]
 
 
 def _filter_only_search(
@@ -261,8 +256,8 @@ def _shard_task(item: Dict[str, Any]) -> List[SearchResult]:
 
     ``item`` is plain data: the publication ``token`` and index
     ``generation`` the driver scattered under, the ``shard`` position, the
-    ``queries`` with their driver-side ``plans``, ``sigma`` and the verify
-    flags.  The shard itself comes from :data:`_PUBLISHED_SHARDS` — looked
+    ``queries`` with their driver-side ``plans``, ``sigma`` and the
+    ``verify`` flag.  The shard itself comes from :data:`_PUBLISHED_SHARDS` — looked
     up in-process by the serial and thread executors, inherited at fork by
     process workers.  A task whose publication this process does not hold
     raises :class:`~repro.core.errors.StaleShardStateError` instead of
@@ -281,11 +276,7 @@ def _shard_task(item: Dict[str, Any]) -> List[SearchResult]:
     results: List[SearchResult] = []
     for query, plan in zip(item["queries"], item["plans"]):
         if item["verify"]:
-            results.append(
-                strategy.search(
-                    query, sigma, verify_workers=item["verify_workers"], plan=plan
-                )
-            )
+            results.append(strategy.search(query, sigma, plan=plan))
         else:
             results.append(_filter_only_search(strategy, query, sigma, plan=plan))
     return results
@@ -330,9 +321,9 @@ class Engine:
         """The engine's declarative configuration.
 
         Assigning a new config (e.g. ``engine.config =
-        engine.config.replace(verifier="legacy")``) drops the cached
-        strategy, so the next query is answered under the new settings
-        regardless of whether the engine has been queried before.
+        engine.config.replace(strategy_params={"epsilon": 0.1})``) drops
+        the cached strategy, so the next query is answered under the new
+        settings regardless of whether the engine has been queried before.
         """
         return self._config
 
@@ -719,46 +710,19 @@ class Engine:
             ),
         }
 
-    def _injected_strategy_params(
-        self, name: str, params: Dict[str, Any], verify_executor: Optional[str] = None
-    ) -> Dict[str, Any]:
-        """Fold the config's verification defaults into strategy params.
-
-        Third-party strategies whose constructors keep the plain
-        ``(database, measure, index=None)`` registry contract are left
-        alone — the defaults are only injected into strategies that accept
-        them (explicit ``params`` still fail loudly if unsupported).
-        """
-        params = dict(params)
-        signature = inspect.signature(strategy_class(name).__init__)
-        parameters = signature.parameters.values()
-        takes_kwargs = any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in parameters
-        )
-        for key, value in (
-            ("verifier", self.config.verifier),
-            ("verify_workers", self.config.verify_workers),
-            ("verify_executor", verify_executor or self.config.executor),
-            ("verify_kernel", self.config.kernel),
-        ):
-            if takes_kwargs or key in signature.parameters:
-                params.setdefault(key, value)
-        return params
-
     def make_strategy(self, name: str, **params) -> SearchStrategy:
         """Build any registered strategy over this engine's database/index.
 
-        Convenient for cross-checks: ``engine.make_strategy("naive")``
-        returns the ground-truth scan over the same database and measure.
-        The config's ``verifier`` / ``verify_workers`` / ``executor`` are
-        applied unless overridden in ``params``, so cross-check strategies
-        verify with the same subsystem (and share the index's distance
-        cache) as the configured one.  On a sharded engine the strategy is
-        built over the *merged* index view — it answers over the whole
-        database, exactly like a strategy over an unsharded index.
+        ``params`` go to the strategy's constructor unchanged.  Strategies
+        built here verify like the engine does (the bounded verifier and
+        the array kernel, sharing the index's distance cache) unless
+        ``params`` say otherwise:
+        ``make_strategy("naive", verifier="legacy", verify_kernel="legacy")``
+        builds the oracle over this engine's database.
+        On a sharded engine the strategy is built over the *merged* index
+        view — it answers over the whole database, exactly like a strategy
+        over an unsharded index.
         """
-        params = self._injected_strategy_params(name, params)
         return make_strategy(
             name, self.database, measure=self.measure, index=self.index, **params
         )
@@ -772,9 +736,7 @@ class Engine:
         Each strategy pairs one shard's fragment index with a
         :class:`~repro.index.ShardDatabaseView` restricted to the shard's
         graph ids, so filtering, fallbacks, and verification are all
-        shard-local.  Verification inside a shard stays on the thread
-        executor — shard-level parallelism already saturates the pool, and
-        a process scatter must not spawn nested process pools.
+        shard-local.  Each shard verifies serially inside its task.
         """
         if self._shard_strategies is None:
             index: ShardedFragmentIndex = self.index
@@ -784,11 +746,7 @@ class Engine:
                     ShardDatabaseView(self.database, index.num_shards, position),
                     measure=shard.measure,
                     index=shard,
-                    **self._injected_strategy_params(
-                        self.config.strategy,
-                        self.config.strategy_params,
-                        verify_executor="thread",
-                    ),
+                    **self.config.strategy_params,
                 )
                 for position, shard in enumerate(index.shards)
             ]
@@ -834,7 +792,6 @@ class Engine:
         self,
         queries: Sequence[LabeledGraph],
         sigma: float,
-        verify_workers: Optional[int],
         executor_name: str,
     ) -> List[SearchResult]:
         """Scatter the queries across every shard; gather merged results.
@@ -845,7 +802,7 @@ class Engine:
         in answer ids and distances to an unsharded engine's.  Every
         executor runs the same task over the same plain items — the
         publication token, shard position and generation, the queries, the
-        plans, sigma and the verify flags — and the shards themselves are
+        plans, sigma and the verify flag — and the shards themselves are
         read from the published state (inherited at fork by process
         workers).  Process workers' counter deltas merge back into the
         sharded index's sink, so :meth:`profile` sees the work wherever it
@@ -879,7 +836,6 @@ class Engine:
                 "plans": plans,
                 "sigma": sigma,
                 "verify": self.config.verify,
-                "verify_workers": verify_workers,
             }
             for position in range(num_shards)
         ]
@@ -924,7 +880,7 @@ class Engine:
         return counters
 
     def _verify_stats(self) -> Dict[str, Any]:
-        """Verification view: configured kernel mode plus search effort.
+        """Verification view: the search effort so far.
 
         ``nodes_expanded`` counts partial placements the superposition
         search descended into across all queries so far — the direct
@@ -933,7 +889,6 @@ class Engine:
         """
         snapshot = self._merged_counters().as_dict()
         return {
-            "kernel": self.config.kernel,
             "candidates": snapshot.get("verify.candidates", 0),
             "superpositions_explored": snapshot.get(
                 "verify.superpositions_explored", 0
@@ -1263,12 +1218,7 @@ class Engine:
             resolved[position] = self._result_cache.get(keys[position])
         return resolved, keys
 
-    def search(
-        self,
-        query: LabeledGraph,
-        sigma: float,
-        verify_workers: Optional[int] = None,
-    ) -> SearchResult:
+    def search(self, query: LabeledGraph, sigma: float) -> SearchResult:
         """Answer one SSSD query with the configured strategy.
 
         Parameters
@@ -1277,9 +1227,6 @@ class Engine:
             The query graph.
         sigma:
             Distance threshold of the SSSD query.
-        verify_workers:
-            Worker-pool size for parallel candidate verification of this
-            query (``None`` = the config's ``verify_workers`` default).
 
         Returns
         -------
@@ -1308,25 +1255,18 @@ class Engine:
         # this query to finish, so it sees the pre-batch index or the
         # post-batch index, never a half-applied one.
         with self.index.epochs.read():
-            result = self._search_uncached(query, sigma, verify_workers)
+            result = self._search_uncached(query, sigma)
         if key is not None:
             self._result_cache.put(key, result)
         return result
 
-    def _search_uncached(
-        self,
-        query: LabeledGraph,
-        sigma: float,
-        verify_workers: Optional[int],
-    ) -> SearchResult:
+    def _search_uncached(self, query: LabeledGraph, sigma: float) -> SearchResult:
         """Compute one query, bypassing the result cache."""
         if self.is_sharded:
-            return self._scatter(
-                [query], sigma, verify_workers, self.config.executor
-            )[0]
+            return self._scatter([query], sigma, self.config.executor)[0]
         strategy = self.strategy
         if self.config.verify:
-            return strategy.search(query, sigma, verify_workers=verify_workers)
+            return strategy.search(query, sigma)
         # Filter-only mode: report candidates without paying for
         # verification (the answer set is left empty on purpose).
         return _filter_only_search(strategy, query, sigma)
@@ -1337,7 +1277,6 @@ class Engine:
         sigma: float,
         workers: Optional[int] = None,
         executor: Optional[str] = None,
-        verify_workers: Optional[int] = None,
     ) -> BatchSearchResult:
         """Answer a batch of queries, optionally in a worker pool.
 
@@ -1359,12 +1298,9 @@ class Engine:
             ``"thread"`` on an unsharded engine, the config's ``executor``
             on a sharded one.  On a sharded engine the pool runs one task
             per shard (each covering the whole batch) instead of one task
-            per query slice.
-        verify_workers:
-            Worker-pool size for parallel candidate verification *within*
-            each query (``None`` = the config default).  Composes with
-            ``workers``: batch-level parallelism spreads queries, verify
-            workers spread the candidates of one query.
+            per query slice.  Either way the pool spreads queries (or
+            shards), never one query's candidates: each query verifies its
+            candidates serially in the worker that runs it.
 
         Returns
         -------
@@ -1396,7 +1332,6 @@ class Engine:
                     fresh = self._scatter(
                         [queries[position] for position in missing],
                         sigma,
-                        verify_workers,
                         executor_name,
                     )
                 for position, result in zip(missing, fresh):
@@ -1419,10 +1354,7 @@ class Engine:
         pool_size = 0 if executor == "serial" else int(workers or 0)
         start = time.perf_counter()
         if pool_size <= 1 or len(queries) <= 1:
-            results = [
-                self.search(query, sigma, verify_workers=verify_workers)
-                for query in queries
-            ]
+            results = [self.search(query, sigma) for query in queries]
             return BatchSearchResult(
                 sigma=sigma,
                 results=results,
@@ -1454,7 +1386,7 @@ class Engine:
                 chunk_results = pool.map(
                     _search_chunk,
                     [
-                        (self, [queries[i] for i in chunk], sigma, verify_workers)
+                        (self, [queries[i] for i in chunk], sigma)
                         for chunk in chunks
                     ],
                 )
@@ -1470,8 +1402,7 @@ class Engine:
             # handles the result cache per query.
             pool = self._executor(executor, pool_size)
             results = pool.map(
-                lambda query: self.search(query, sigma, verify_workers=verify_workers),
-                queries,
+                lambda query: self.search(query, sigma), queries
             )
         return BatchSearchResult(
             sigma=sigma,

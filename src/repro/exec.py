@@ -1,9 +1,9 @@
 """Executor abstraction: serial / thread / process task execution.
 
 Several layers of the system fan work out over a pool — the sharded engine
-scatter-gathers one search per shard (:mod:`repro.index.sharded`), the
-bounded verifier spreads candidate verification (:mod:`repro.search.verify`),
-and the sharded build constructs whole shards in parallel.  This module
+scatter-gathers one search per shard (:mod:`repro.index.sharded`),
+:meth:`repro.engine.Engine.search_many` spreads a batch's queries, and the
+sharded build constructs whole shards in parallel.  This module
 gives all of them one small, registry-backed abstraction so the pool kind is
 a configuration choice (:attr:`repro.engine.EngineConfig.executor`) instead
 of an implementation detail:

@@ -239,7 +239,7 @@ class FragmentIndex:
 
     @property
     def distance_cache(self) -> MemoCache:
-        """Exact-distance memo cache shared with the verification subsystem.
+        """Exact-distance memo cache shared with the verifiers.
 
         :class:`repro.search.verify.BoundedVerifier` memoizes per-(query
         content, graph id) exact superimposed distances here, so batched

@@ -1,5 +1,5 @@
 """Partition-based search: selectivity, MWIS partition, PIS, baselines,
-and the candidate-verification subsystem (:mod:`repro.search.verify`)."""
+and candidate verification (:mod:`repro.search.verify`)."""
 
 from .baselines import ExactTopoPruneSearch, NaiveSearch, TopoPruneSearch
 from .mwis import (
@@ -17,14 +17,7 @@ from .registry import available_strategies, make_strategy, register_strategy
 from .results import PruningReport, SearchResult
 from .selectivity import FragmentSelectivity, SelectivityEstimator
 from .strategy import SearchStrategy
-from .verify import (
-    BoundedVerifier,
-    LegacyVerifier,
-    Verifier,
-    available_verifiers,
-    make_verifier,
-    register_verifier,
-)
+from .verify import BoundedVerifier, LegacyVerifier, Verifier
 
 __all__ = [
     "SearchStrategy",
@@ -54,7 +47,4 @@ __all__ = [
     "Verifier",
     "LegacyVerifier",
     "BoundedVerifier",
-    "register_verifier",
-    "make_verifier",
-    "available_verifiers",
 ]

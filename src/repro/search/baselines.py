@@ -60,8 +60,6 @@ class TopoPruneSearch(SearchStrategy):
         measure: Optional[DistanceMeasure] = None,
         index: Optional[FragmentIndex] = None,
         verifier: str = AUTO_VERIFIER,
-        verify_workers: int = 0,
-        verify_executor: str = "thread",
         verify_kernel: str = "auto",
     ):
         if isinstance(database, FragmentIndex):
@@ -77,8 +75,6 @@ class TopoPruneSearch(SearchStrategy):
             measure=index.measure,
             index=index,
             verifier=verifier,
-            verify_workers=verify_workers,
-            verify_executor=verify_executor,
             verify_kernel=verify_kernel,
         )
 

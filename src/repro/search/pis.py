@@ -15,8 +15,8 @@
    the plan's outcome to the index's live graph ids.
 3. **Candidate verification** — compute the true minimum superimposed
    distance of the surviving candidates and keep those within the
-   threshold.  Delegated to the pluggable verifiers of
-   :mod:`repro.search.verify`, which reuse the lower bounds this module's
+   threshold.  Delegated to the bounded verifier of
+   :mod:`repro.search.verify`, which reuses the lower bounds this module's
    filtering phase computes (:attr:`FilterOutcome.lower_bounds`).
 
 The filtering phase touches only the index (never the database graphs);
@@ -84,14 +84,8 @@ class PISearch(SearchStrategy):
         "exact") and its ``k`` parameter (an int >= 1).  Anything else
         raises :class:`~repro.core.errors.EngineConfigError` here.
     verifier:
-        Registry name of the candidate verifier (``"auto"`` resolves to the
-        optimized bounded verifier; see :mod:`repro.search.verify`).
-    verify_workers:
-        Default worker-pool size for parallel candidate verification
-        (``0`` = serial).
-    verify_executor:
-        :mod:`repro.exec` executor kind for the verification pool
-        (``"thread"``, ``"process"``, ``"serial"``).
+        Name of the candidate verifier (``"auto"`` resolves to the bounded
+        verifier; see :class:`SearchStrategy`).
     verify_kernel:
         Superposition search kernel for verification (``"auto"``,
         ``"array"`` or ``"legacy"``; see :class:`SearchStrategy`).
@@ -110,8 +104,6 @@ class PISearch(SearchStrategy):
         partition_method: str = "greedy",
         partition_k: int = 2,
         verifier: str = AUTO_VERIFIER,
-        verify_workers: int = 0,
-        verify_executor: str = "thread",
         verify_kernel: str = "auto",
     ):
         if isinstance(database, FragmentIndex):
@@ -135,8 +127,6 @@ class PISearch(SearchStrategy):
             measure=index.measure,
             index=index,
             verifier=verifier,
-            verify_workers=verify_workers,
-            verify_executor=verify_executor,
             verify_kernel=verify_kernel,
         )
         self.epsilon = epsilon

@@ -5,9 +5,7 @@ under its ``name`` attribute and is instantiable through
 :func:`make_strategy` with the uniform ``(database, measure, index=None)``
 shape.  This is what lets
 :class:`repro.engine.Engine` pick its strategy from a declarative config,
-and lets callers swap PIS for a baseline with a single string.  The
-candidate verifiers of :mod:`repro.search.verify` have their own registry
-of the same shape (:func:`repro.search.verify.make_verifier`).
+and lets callers swap PIS for a baseline with a single string.
 """
 
 from __future__ import annotations
@@ -41,11 +39,8 @@ def register_strategy(cls: type) -> type:
 def strategy_class(name: str) -> type:
     """Return the registered strategy class for ``name`` (without building it).
 
-    Lets callers inspect a strategy's constructor — e.g.
-    :meth:`repro.engine.Engine.make_strategy` only injects its
-    ``verifier``/``verify_workers`` defaults into strategies that accept
-    them, so third-party strategies keeping the plain
-    ``(database, measure, index=None)`` contract stay constructible.
+    Lets callers inspect a strategy class — e.g. :class:`repro.engine.Engine`
+    asks whether a strategy plans (has ``execute_plan``) before building it.
     """
     if name not in _STRATEGIES:
         raise UnknownComponentError("search strategy", name, _STRATEGIES)

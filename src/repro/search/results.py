@@ -107,7 +107,7 @@ class SearchResult:
         excluded from :meth:`as_dict`: it describes how the query was
         executed, not its answer.
 
-        The verification subsystem (:mod:`repro.search.verify`) reports
+        Verification (:mod:`repro.search.verify`) reports
         under the ``verify.*`` prefix: ``verify.candidates`` (ids passed to
         the verifier), ``verify.superpositions_explored`` (complete
         superpositions examined), ``verify.lower_bound_skips`` (candidates
@@ -116,8 +116,7 @@ class SearchResult:
         already drops bound-exceeding candidates), ``verify.early_exits`` (branch-and-bound searches
         stopped by a bound-matching superposition),
         ``verify.cache_refreshes`` (memoized "> threshold" entries
-        recomputed at a larger sigma), ``verify.parallel_batches`` (thread-
-        pooled verification rounds), and the memo-cache accounting under
+        recomputed at a larger sigma), and the memo-cache accounting under
         ``verify_distance.cache_hits`` / ``verify_distance.cache_misses``.
     """
 

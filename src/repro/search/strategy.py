@@ -7,13 +7,22 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.database import GraphDatabase
 from ..core.distance import DistanceMeasure
-from ..core.errors import EngineConfigError
+from ..core.errors import EngineConfigError, UnknownComponentError
 from ..core.graph import LabeledGraph
 from ..perf import GLOBAL_COUNTERS, MemoCache, PerfCounters
 from .results import PruningReport, SearchResult
-from .verify import AUTO_VERIFIER, Verifier, make_verifier, resolve_verifier_name
+from .verify import (
+    AUTO_VERIFIER,
+    BoundedVerifier,
+    LegacyVerifier,
+    Verifier,
+    resolve_verifier_name,
+)
 
 __all__ = ["SearchStrategy"]
+
+#: the verifiers a strategy's ``verifier=`` name can pick
+_VERIFIERS = {cls.name: cls for cls in (BoundedVerifier, LegacyVerifier)}
 
 
 class SearchStrategy:
@@ -24,7 +33,7 @@ class SearchStrategy:
     identically.  Subclasses implement :meth:`candidates` (the filtering
     phase); a strategy that plans (PIS) overrides :meth:`plan_query` and
     :meth:`_execute` to also supply a pruning report and per-candidate lower
-    bounds.  Verification itself is delegated to a pluggable
+    bounds.  Verification itself is delegated to a
     :class:`~repro.search.verify.Verifier` so every strategy returns
     byte-for-byte comparable answer sets.
 
@@ -43,21 +52,17 @@ class SearchStrategy:
         Optional built :class:`~repro.index.FragmentIndex`; required by
         strategies whose :attr:`requires_index` is true.
     verifier:
-        Registry name of the candidate verifier (``"auto"``, ``"bounded"``,
-        ``"legacy"``, or any :func:`repro.search.register_verifier` name).
-        ``"auto"`` resolves to the optimized default.
-    verify_workers:
-        Default worker-pool size for parallel candidate verification
-        (``0`` = serial); :meth:`search` accepts a per-call override.
-    verify_executor:
-        :mod:`repro.exec` executor kind for the verification pool:
-        ``"thread"`` (default), ``"process"`` for GIL-free parallel
-        verification, or ``"serial"``.
+        Name of the candidate verifier: ``"auto"`` (the default) or
+        ``"bounded"`` for :class:`~repro.search.verify.BoundedVerifier`,
+        ``"legacy"`` for the reference
+        :class:`~repro.search.verify.LegacyVerifier`.
     verify_kernel:
         Superposition search kernel used during verification: ``"auto"``
         (default) or ``"array"`` for the array kernel of
         :mod:`repro.core.kernel`, ``"legacy"`` for the recursive reference
-        search.
+        search.  ``verifier="legacy", verify_kernel="legacy"`` on
+        :class:`~repro.search.baselines.NaiveSearch` is the correctness
+        oracle; the engine always uses the defaults.
     """
 
     #: strategy identifier used in reports and registry lookups
@@ -72,8 +77,6 @@ class SearchStrategy:
         measure: Optional[DistanceMeasure] = None,
         index=None,
         verifier: str = AUTO_VERIFIER,
-        verify_workers: int = 0,
-        verify_executor: str = "thread",
         verify_kernel: str = "auto",
     ):
         if measure is None and index is not None:
@@ -86,8 +89,6 @@ class SearchStrategy:
         self.measure = measure
         self.index = index
         self.verifier_name = verifier
-        self.verify_workers = int(verify_workers or 0)
-        self.verify_executor = verify_executor
         self.verify_kernel = verify_kernel
         # Index-backed strategies share the index's counter sink so that
         # filtering and verification report into one place; index-free
@@ -168,22 +169,24 @@ class SearchStrategy:
         return cache if isinstance(cache, MemoCache) else None
 
     def get_verifier(self, name: Optional[str] = None) -> Verifier:
-        """Return (building on first use) the verifier registered as ``name``.
+        """Return (building on first use) the verifier called ``name``.
 
-        ``None`` uses the strategy's configured :attr:`verifier_name`.
-        Verifiers share the strategy's counter sink and the index's distance
-        cache, so their work shows up in the same profile as filtering.
+        ``None`` uses the strategy's configured :attr:`verifier_name`;
+        ``"auto"`` resolves to ``"bounded"``, and any name other than
+        ``"bounded"`` or ``"legacy"`` raises
+        :class:`~repro.core.errors.UnknownComponentError`.  Verifiers share
+        the strategy's counter sink and the index's distance cache, so
+        their work shows up in the same profile as filtering.
         """
         resolved = resolve_verifier_name(name or self.verifier_name)
         if resolved not in self._verifiers:
-            self._verifiers[resolved] = make_verifier(
-                resolved,
+            if resolved not in _VERIFIERS:
+                raise UnknownComponentError("verifier", resolved, _VERIFIERS)
+            self._verifiers[resolved] = _VERIFIERS[resolved](
                 self.database,
                 self.measure,
                 counters=self.counters,
                 distance_cache=self._distance_cache(),
-                workers=self.verify_workers,
-                executor=self.verify_executor,
                 kernel=self.verify_kernel,
             )
         return self._verifiers[resolved]
@@ -194,7 +197,6 @@ class SearchStrategy:
         sigma: float,
         candidate_ids: Sequence[int],
         lower_bounds: Optional[Mapping[int, float]] = None,
-        workers: Optional[int] = None,
     ) -> Tuple[List[int], Dict[int, float]]:
         """Verify candidates: keep graphs whose true distance is within sigma.
 
@@ -206,8 +208,6 @@ class SearchStrategy:
             The query, threshold, and filtered candidate ids.
         lower_bounds:
             Optional proven per-candidate lower bounds from filtering.
-        workers:
-            Per-call worker-pool override (``None`` = strategy default).
 
         Returns
         -------
@@ -215,7 +215,7 @@ class SearchStrategy:
             ``(answer_ids, answer_distances)`` in candidate order.
         """
         return self.get_verifier().verify(
-            query, sigma, candidate_ids, lower_bounds=lower_bounds, workers=workers
+            query, sigma, candidate_ids, lower_bounds=lower_bounds
         )
 
     # ------------------------------------------------------------------
@@ -225,7 +225,6 @@ class SearchStrategy:
         self,
         query: LabeledGraph,
         sigma: float,
-        verify_workers: Optional[int] = None,
         plan=None,
     ) -> SearchResult:
         """Run filtering + verification and time the two phases.
@@ -236,9 +235,6 @@ class SearchStrategy:
             The query graph.
         sigma:
             Distance threshold of the SSSD query.
-        verify_workers:
-            Worker-pool size for parallel verification of this one query
-            (``None`` = the strategy's configured default).
         plan:
             An externally computed :class:`~repro.search.planner.QueryPlan`
             to execute (the scatter path plans once on the driver and ships
@@ -264,11 +260,7 @@ class SearchStrategy:
 
         start = time.perf_counter()
         answers, distances = self.verify(
-            query,
-            sigma,
-            candidate_ids,
-            lower_bounds=lower_bounds,
-            workers=verify_workers,
+            query, sigma, candidate_ids, lower_bounds=lower_bounds
         )
         verify_seconds = time.perf_counter() - start
 

@@ -1,22 +1,16 @@
-"""Candidate verification subsystem: pluggable, bounded, memoized, parallel.
+"""Candidate verification: one bounded, memoized path and its reference.
 
 Verification — computing the true minimum superimposed distance of every
-candidate that survived filtering — dominates query time at low selectivity
-(see ``verify.seconds`` in :meth:`repro.engine.Engine.profile`).  This
-module turns the former inline loop of
-:meth:`repro.search.strategy.SearchStrategy.verify` into a subsystem of
-pluggable :class:`Verifier` components, registered by name exactly like the
-search strategies in :mod:`repro.search.registry`:
-
-:class:`LegacyVerifier` (``"legacy"``)
-    The reference path: one full :func:`repro.core.best_superposition` per
-    candidate, in candidate order, with no caching.  Together with
-    NaiveSearch and ``kernel="legacy"`` it is the correctness oracle every
-    optimized configuration must match byte for byte.
+candidate that survived filtering (Definition 1) and keeping it when the
+distance is within ``sigma`` — dominates query time at low selectivity
+(see ``verify.seconds`` in :meth:`repro.engine.Engine.profile`).  Two
+:class:`Verifier` classes implement it:
 
 :class:`BoundedVerifier` (``"bounded"``, the default)
-    Exploits the per-candidate lower bounds that the PIS filtering phase
-    already computes (:attr:`repro.search.pis.FilterOutcome.lower_bounds`):
+    The one path every engine search takes.  It runs serially in the
+    thread that runs the query (or the shard task) and exploits the
+    per-candidate lower bounds that the PIS filtering phase already
+    computes (:attr:`repro.search.pis.FilterOutcome.lower_bounds`):
 
     * **ordering** — candidates are verified in ascending lower-bound order,
       so the most promising candidates (and the cheapest branch-and-bound
@@ -38,27 +32,21 @@ search strategies in :mod:`repro.search.registry`:
       recomputing.  The *revision* component is the database's per-slot
       rebinding counter (:meth:`repro.core.GraphDatabase.revision`): when a
       graph id is removed and later reused for a different graph, its
-      revision changes and the old entry can never be served again;
-    * **parallelism** — ``workers=N`` fans candidate verification out over a
-      :mod:`repro.exec` executor, with results merged back in deterministic
-      candidate order.  The pool kind is the ``executor`` constructor
-      parameter: ``"thread"`` (the default) shares the caller's caches but
-      is GIL-bound for pure-Python distance computation, while
-      ``"process"`` ships candidate chunks to worker processes — the parent
-      resolves memo-cache hits first, only cache misses travel, and the
-      computed distances are cached on return — giving true parallel
-      verification at the cost of pickling the query and the candidate
-      graphs.  ``"serial"`` disables the pool regardless of ``workers``.
+      revision changes and the old entry can never be served again.
 
-Both verifiers return answers in the original candidate order, so every
-configuration — serial or parallel, cached or cold — produces byte-identical
-results.
+:class:`LegacyVerifier` (``"legacy"``)
+    The reference path: one full :func:`repro.core.best_superposition` per
+    candidate, in candidate order, with no caching.  Only the oracle
+    strategy uses it: ``NaiveSearch(database, measure, verifier="legacy",
+    verify_kernel="legacy")``, the scan every optimized configuration must
+    match byte for byte.
+
+Both verifiers return answers in the original candidate order, so cached
+and cold runs produce byte-identical results.
 
 Examples
 --------
->>> from repro.search.verify import available_verifiers, resolve_verifier_name
->>> available_verifiers()
-['bounded', 'legacy']
+>>> from repro.search.verify import resolve_verifier_name
 >>> resolve_verifier_name("auto")
 'bounded'
 """
@@ -66,24 +54,19 @@ Examples
 from __future__ import annotations
 
 import hashlib
-import inspect
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.database import GraphDatabase
 from ..core.distance import DistanceMeasure
-from ..core.errors import EngineConfigError, UnknownComponentError
+from ..core.errors import EngineConfigError
 from ..core.graph import LabeledGraph
 from ..core.superimposed import INFINITE_DISTANCE, best_superposition
-from ..exec import make_executor
 from ..perf import GLOBAL_COUNTERS, MemoCache, PerfCounters, graph_signature
 
 __all__ = [
     "Verifier",
     "LegacyVerifier",
     "BoundedVerifier",
-    "register_verifier",
-    "make_verifier",
-    "available_verifiers",
     "resolve_verifier_name",
     "query_cache_key",
     "DEFAULT_VERIFIER",
@@ -150,41 +133,6 @@ def resolve_kernel_mode(kernel: str) -> bool:
     return kernel != "legacy"
 
 
-def _verify_chunk_task(payload: Tuple) -> List[Tuple[int, float, int, int, int]]:
-    """Process-pool task: verify one chunk of candidates exactly.
-
-    The payload carries everything a worker needs — the query, the measure,
-    the threshold, the kernel routing flag, and ``(graph_id, graph,
-    lower_bound)`` triples — so the task is self-contained and picklable.
-    Returns, per candidate, ``(graph_id, exact_distance,
-    superpositions_explored, early_exits, nodes_expanded)``; the parent
-    turns the raw distances into answers, caches them, and accounts the
-    work, so process-verified results are byte-identical to (and accounted
-    exactly like) serial verification.
-    """
-    query, measure, sigma, use_kernel, candidates = payload
-    outcomes: List[Tuple[int, float, int, int, int]] = []
-    for graph_id, graph, bound in candidates:
-        result = best_superposition(
-            query,
-            graph,
-            measure,
-            threshold=sigma,
-            known_lower_bound=bound,
-            use_kernel=use_kernel,
-        )
-        outcomes.append(
-            (
-                graph_id,
-                result.distance,
-                result.explored,
-                1 if result.early_exit else 0,
-                result.nodes_expanded,
-            )
-        )
-    return outcomes
-
-
 class Verifier:
     """Base class of the pluggable candidate verifiers.
 
@@ -192,7 +140,8 @@ class Verifier:
     minimum superimposed distance between the query and that graph is within
     ``sigma``, returning the surviving ids and their exact distances.
     Subclasses implement :meth:`verify`; construction is uniform so
-    :func:`make_verifier` can build any of them from a registry name.
+    :meth:`repro.search.SearchStrategy.get_verifier` can build either one
+    from its name.
 
     Parameters
     ----------
@@ -207,14 +156,6 @@ class Verifier:
         Optional :class:`~repro.perf.MemoCache` for exact distances, shared
         through the fragment index so batches and sigma sweeps reuse work.
         Verifiers that do not memoize ignore it.
-    workers:
-        Default worker-pool size for parallel verification (``0`` = serial);
-        a per-call ``workers=`` argument overrides it.
-    executor:
-        :mod:`repro.exec` executor kind driving the worker pool:
-        ``"thread"`` (default), ``"process"`` for GIL-free verification, or
-        ``"serial"`` to pin verification to the calling thread.  Verifiers
-        that do not parallelize ignore it.
     kernel:
         Branch-and-bound backend selection: ``"auto"`` (default) and
         ``"array"`` run the array kernel of :mod:`repro.core.kernel` where
@@ -222,7 +163,7 @@ class Verifier:
         backends return byte-identical distances.
     """
 
-    #: verifier identifier used in reports and registry lookups
+    #: verifier identifier used in reports and name lookups
     name = "abstract"
 
     def __init__(
@@ -231,8 +172,6 @@ class Verifier:
         measure: DistanceMeasure,
         counters: Optional[PerfCounters] = None,
         distance_cache: Optional[MemoCache] = None,
-        workers: int = 0,
-        executor: str = "thread",
         kernel: str = "auto",
     ):
         self.database = database
@@ -243,8 +182,6 @@ class Verifier:
             else PerfCounters(mirror=GLOBAL_COUNTERS)
         )
         self.distance_cache = distance_cache
-        self.workers = int(workers or 0)
-        self.executor = executor
         self.kernel = kernel
         #: ``use_kernel`` argument derived from ``kernel``
         self.use_kernel = resolve_kernel_mode(kernel)
@@ -268,7 +205,6 @@ class Verifier:
         sigma: float,
         candidate_ids: Sequence[int],
         lower_bounds: Optional[Mapping[int, float]] = None,
-        workers: Optional[int] = None,
     ) -> Tuple[List[int], Dict[int, float]]:
         """Verify candidates: keep graphs whose true distance is within sigma.
 
@@ -285,9 +221,6 @@ class Verifier:
             phase's Eq. 2 bounds); verifiers that cannot use them ignore the
             mapping.  Bounds must be *true* lower bounds of the superimposed
             distance — a wrong bound can drop a true answer.
-        workers:
-            Worker-pool size for this call (``None`` = the constructor
-            default, ``0``/``1`` = serial).
 
         Returns
         -------
@@ -304,7 +237,7 @@ class LegacyVerifier(Verifier):
     One full branch-and-bound :func:`~repro.core.best_superposition` call
     per candidate, in candidate order, with the threshold as the only
     pruning device — no ordering, no lower-bound short-circuit, no
-    memoization, no parallelism.  It is the baseline optimized verifiers
+    memoization.  It is the baseline optimized verifiers
     must match byte for byte.
     """
 
@@ -316,7 +249,6 @@ class LegacyVerifier(Verifier):
         sigma: float,
         candidate_ids: Sequence[int],
         lower_bounds: Optional[Mapping[int, float]] = None,
-        workers: Optional[int] = None,
     ) -> Tuple[List[int], Dict[int, float]]:
         """Verify candidates with one full search each (see class docs)."""
         answers: List[int] = []
@@ -370,8 +302,6 @@ class BoundedVerifier(Verifier):
         measure: DistanceMeasure,
         counters: Optional[PerfCounters] = None,
         distance_cache: Optional[MemoCache] = None,
-        workers: int = 0,
-        executor: str = "thread",
         kernel: str = "auto",
     ):
         super().__init__(
@@ -379,8 +309,6 @@ class BoundedVerifier(Verifier):
             measure,
             counters=counters,
             distance_cache=distance_cache,
-            workers=workers,
-            executor=executor,
             kernel=kernel,
         )
         if self.distance_cache is None:
@@ -435,42 +363,20 @@ class BoundedVerifier(Verifier):
         sigma: float,
         candidate_ids: Sequence[int],
         lower_bounds: Optional[Mapping[int, float]] = None,
-        workers: Optional[int] = None,
     ) -> Tuple[List[int], Dict[int, float]]:
         """Verify candidates using the filtering lower bounds (see class docs)."""
         candidate_ids = list(candidate_ids)
         bounds = lower_bounds or {}
-        pool_size = self.workers if workers is None else int(workers or 0)
         with self.counters.timer("verify"):
             ordered, skipped = self.plan(sigma, candidate_ids, bounds)
             self.last_order = list(ordered)
             query_key = query_cache_key(query, self.measure)
-            parallel = (
-                pool_size > 1 and len(ordered) > 1 and self.executor != "serial"
-            )
-            if parallel and self.executor == "process":
-                outcomes = self._verify_process(
-                    query, query_key, ordered, sigma, bounds, pool_size
+            outcomes = [
+                self._verify_one(
+                    query, query_key, graph_id, sigma, bounds.get(graph_id)
                 )
-                self.counters.increment("verify.parallel_batches")
-            elif parallel:
-                pool = make_executor(
-                    self.executor, workers=pool_size, counters=self.counters
-                )
-                outcomes = pool.map(
-                    lambda graph_id: self._verify_one(
-                        query, query_key, graph_id, sigma, bounds.get(graph_id)
-                    ),
-                    ordered,
-                )
-                self.counters.increment("verify.parallel_batches")
-            else:
-                outcomes = [
-                    self._verify_one(
-                        query, query_key, graph_id, sigma, bounds.get(graph_id)
-                    )
-                    for graph_id in ordered
-                ]
+                for graph_id in ordered
+            ]
         found = {
             graph_id: distance
             for graph_id, distance in zip(ordered, (o[0] for o in outcomes))
@@ -488,10 +394,6 @@ class BoundedVerifier(Verifier):
         self.counters.increment("verify.early_exits", sum(o[2] for o in outcomes))
         self.counters.increment("verify.nodes_expanded", sum(o[3] for o in outcomes))
         return answers, distances
-
-    def _cache_key(self, query_key: str, graph_id: int) -> Tuple[str, Any, int]:
-        """Distance-cache key of one candidate."""
-        return (query_key, graph_id, self._graph_revision(graph_id))
 
     def _cached_outcome(
         self, cache_key: Tuple[str, Any, int], sigma: float
@@ -534,7 +436,7 @@ class BoundedVerifier(Verifier):
         within ``sigma`` and ``None`` otherwise.  Thread-safe: the memo
         cache takes its own lock and everything else is local.
         """
-        cache_key = self._cache_key(query_key, graph_id)
+        cache_key = (query_key, graph_id, self._graph_revision(graph_id))
         cached = self._cached_outcome(cache_key, sigma)
         if cached is not None:
             return cached
@@ -554,137 +456,7 @@ class BoundedVerifier(Verifier):
             result.nodes_expanded,
         )
 
-    def _verify_process(
-        self,
-        query: LabeledGraph,
-        query_key: str,
-        ordered: Sequence[int],
-        sigma: float,
-        bounds: Mapping[int, float],
-        pool_size: int,
-    ) -> List[Tuple[Optional[float], int, int, int]]:
-        """Verify the ordered candidates in worker processes.
-
-        The memo cache stays parent-side: cache hits are resolved before
-        dispatch, only misses ship to the workers (chunked so each worker
-        gets one contiguous slice), and the computed exact distances are
-        cached on return — so a process-verified query warms the same cache
-        a serial one would, byte for byte.
-        """
-        outcomes: Dict[int, Tuple[Optional[float], int, int, int]] = {}
-        pending: List[int] = []
-        for graph_id in ordered:
-            cached = self._cached_outcome(self._cache_key(query_key, graph_id), sigma)
-            if cached is not None:
-                outcomes[graph_id] = cached
-            else:
-                pending.append(graph_id)
-        if pending:
-            chunk_size = max(1, (len(pending) + pool_size - 1) // pool_size)
-            payloads = []
-            for position in range(0, len(pending), chunk_size):
-                chunk = pending[position : position + chunk_size]
-                payloads.append(
-                    (
-                        query,
-                        self.measure,
-                        sigma,
-                        self.use_kernel,
-                        [
-                            (graph_id, self.database[graph_id], bounds.get(graph_id))
-                            for graph_id in chunk
-                        ],
-                    )
-                )
-            pool = make_executor(
-                "process", workers=pool_size, counters=self.counters
-            )
-            for chunk_outcomes in pool.map(_verify_chunk_task, payloads):
-                for graph_id, distance, explored, early, expanded in chunk_outcomes:
-                    self.distance_cache.put(
-                        self._cache_key(query_key, graph_id), (distance, sigma)
-                    )
-                    outcomes[graph_id] = (
-                        distance if distance <= sigma else None,
-                        explored,
-                        early,
-                        expanded,
-                    )
-        return [outcomes[graph_id] for graph_id in ordered]
-
-
-# ----------------------------------------------------------------------
-# registry (mirrors repro.search.registry)
-# ----------------------------------------------------------------------
-_VERIFIERS: Dict[str, type] = {}
-
-
-def register_verifier(cls: type) -> type:
-    """Register a verifier class under its ``name`` attribute.
-
-    Usable as a decorator, exactly like
-    :func:`repro.search.register_strategy`; third-party verifiers become
-    reachable from :class:`repro.engine.EngineConfig` by name.
-    """
-    _VERIFIERS[cls.name] = cls
-    return cls
-
-
-def available_verifiers() -> List[str]:
-    """Return the names of all registered verifiers (sorted)."""
-    return sorted(_VERIFIERS)
-
 
 def resolve_verifier_name(name: str) -> str:
     """Resolve ``"auto"`` to the default verifier; pass other names through."""
     return DEFAULT_VERIFIER if name == AUTO_VERIFIER else name
-
-
-def make_verifier(
-    name: str,
-    database: GraphDatabase,
-    measure: DistanceMeasure,
-    counters: Optional[PerfCounters] = None,
-    distance_cache: Optional[MemoCache] = None,
-    workers: int = 0,
-    executor: str = "thread",
-    kernel: str = "auto",
-) -> Verifier:
-    """Instantiate a registered verifier by name.
-
-    ``"auto"`` resolves to :data:`DEFAULT_VERIFIER`.  Unknown names raise
-    :class:`~repro.core.errors.UnknownComponentError` listing the registered
-    alternatives; invalid constructor parameters surface as
-    :class:`~repro.core.errors.EngineConfigError`.
-    """
-    resolved = resolve_verifier_name(name)
-    if resolved not in _VERIFIERS:
-        raise UnknownComponentError("verifier", resolved, _VERIFIERS)
-    cls = _VERIFIERS[resolved]
-    kwargs: Dict[str, Any] = {
-        "counters": counters,
-        "distance_cache": distance_cache,
-        "workers": workers,
-    }
-    # Third-party verifiers written before the executor and kernel layers
-    # keep working: those kinds are passed only to constructors that accept
-    # them.
-    signature = inspect.signature(cls.__init__)
-    accepts_any = any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in signature.parameters.values()
-    )
-    if "executor" in signature.parameters or accepts_any:
-        kwargs["executor"] = executor
-    if "kernel" in signature.parameters or accepts_any:
-        kwargs["kernel"] = kernel
-    try:
-        return cls(database, measure, **kwargs)
-    except TypeError as exc:
-        raise EngineConfigError(
-            f"invalid parameters for verifier {resolved!r}: {exc}"
-        ) from exc
-
-
-register_verifier(LegacyVerifier)
-register_verifier(BoundedVerifier)

@@ -14,7 +14,7 @@ Correctness rests entirely on the cache key::
   entry;
 * **sigma** is part of the answer's definition;
 * the **engine fingerprint** (:func:`engine_fingerprint`) covers the
-  strategy, its parameters, the verifier, and the verify flag — anything
+  strategy, its parameters, the verify flag and the measure — anything
   that could change which result a fresh search computes;
 * the **index generation** is bumped by every mutation
   (:attr:`repro.index.FragmentIndex.generation`), so entries cached before
@@ -43,8 +43,8 @@ def engine_fingerprint(config: Any) -> str:
     Two engines with equal fingerprints (over the same index state) answer
     every query identically, so their cache entries are interchangeable;
     anything that could change answers, candidates, or the report —
-    strategy, strategy parameters, verifier, the verify flag, and the
-    measure — is folded in.  Executor and worker knobs are deliberately
+    strategy, strategy parameters, the verify flag, and the measure — is
+    folded in.  Executor and worker knobs are deliberately
     excluded: they change *where* work runs, never what it returns.
     """
     return json.dumps(
@@ -52,7 +52,6 @@ def engine_fingerprint(config: Any) -> str:
             "strategy": config.strategy,
             "strategy_params": config.strategy_params,
             "verify": config.verify,
-            "verifier": config.verifier,
             "measure": config.measure,
         },
         sort_keys=True,

@@ -85,6 +85,42 @@ class TestCommands:
         output = capsys.readouterr().out
         assert output.count("naive-agrees=True") == 2
 
+    def test_compare_naive_checks_the_engine_kernel(
+        self, generated_db, built_index, capsys, monkeypatch
+    ):
+        """The oracle verifies on its own path, so a fault in the array
+        kernel the engine verifies with shows up as a disagreement."""
+        import dataclasses
+
+        from repro.core import kernel
+
+        original = kernel.kernel_best_superposition
+
+        def inflated(*args, **kwargs):
+            result = original(*args, **kwargs)
+            return dataclasses.replace(result, distance=result.distance + 0.5)
+
+        monkeypatch.setattr(kernel, "kernel_best_superposition", inflated)
+        code = main(
+            [
+                "query",
+                "--database",
+                str(generated_db),
+                "--index",
+                str(built_index),
+                "--edges",
+                "6",
+                "--count",
+                "2",
+                "--sigma",
+                "1",
+                "--compare-naive",
+            ]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert output.count("naive-agrees=False") == 2
+
     def test_stats_reports_both(self, generated_db, built_index, capsys):
         assert (
             main(["stats", "--database", str(generated_db), "--index", str(built_index)])

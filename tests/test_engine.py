@@ -9,6 +9,7 @@ from repro import (
     EngineConfig,
     ExhaustiveFeatureSelector,
     FragmentIndex,
+    LabeledGraph,
     NaiveSearch,
     PISearch,
     QueryWorkload,
@@ -388,6 +389,54 @@ class TestEnginePersistence:
         text = path.read_text()
         assert '"backend' not in text and '"rebuild_threshold"' not in text
 
+    @pytest.mark.parametrize("shards", [1, 2], ids=["unsharded", "2-shards"])
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            {"verifier": "auto", "verify_workers": 0, "kernel": "auto"},
+            {"verifier": "legacy", "verify_workers": 0, "kernel": "legacy"},
+            {"verifier": "bounded", "verify_workers": 2, "kernel": "array"},
+        ],
+        ids=["defaults", "legacy", "pooled"],
+    )
+    def test_retired_verifier_keys_load(self, tmp_path, retired, shards):
+        """Engine files that still carry the verification knobs load, verify
+        the one way (bounded verifier, array kernel) and answer exactly;
+        re-saving drops the retired keys."""
+        from helpers import oracle_answers
+        from repro.search import BoundedVerifier
+
+        database = generate_chemical_database(20, seed=3)
+        config = EngineConfig(
+            selector="paths",
+            selector_params={"max_path_edges": 2, "include_cycles": False},
+            shards=shards,
+        )
+        path = tmp_path / "engine.json"
+        Engine.build(database, config).save(path)
+        data = json.loads(path.read_text())
+        data["config"].update(retired)
+        path.write_text(json.dumps(data))
+
+        reloaded = Engine.load(path, database)
+        assert reloaded.config == config
+        queries = QueryWorkload(database, seed=5).sample_queries(num_edges=4, count=2)
+        for query in queries:
+            for sigma in (0.5, 1.0):
+                result = reloaded.search(query, sigma)
+                assert (result.answer_ids, result.answer_distances) == oracle_answers(
+                    database, reloaded.measure, query, sigma
+                )
+        strategies = (
+            reloaded._shard_strategy_list() if shards > 1 else [reloaded.strategy]
+        )
+        for strategy in strategies:
+            verifier = strategy.get_verifier()
+            assert type(verifier) is BoundedVerifier and verifier.use_kernel
+        reloaded.save(path)
+        saved = json.loads(path.read_text())["config"]
+        assert not {"verifier", "verify_workers", "kernel"} & set(saved)
+
 
 class TestDegenerateSigma:
     """Each degenerate threshold has a defined answer or a typed error."""
@@ -434,3 +483,56 @@ class TestDegenerateSigma:
                 assert result.answer_ids == []
             else:
                 assert result.answer_ids == database.graph_ids()
+
+
+class TestDegenerateQueries:
+    """Queries with no edges or several components have a defined answer:
+    the oracle's.  An empty query (and a lone vertex under an edge-only
+    measure) superimposes on every live graph at distance 0; a
+    disconnected query is matched component by component under one
+    injective vertex mapping, exactly as Definition 1 reads."""
+
+    @pytest.fixture(scope="class")
+    def database(self):
+        return generate_chemical_database(20, seed=3)
+
+    @pytest.fixture(scope="class")
+    def engines(self, database):
+        return {
+            (shards, executor): Engine.build(
+                database, CONFIG.replace(executor=executor), shards=shards
+            )
+            for shards in (1, 2)
+            for executor in ("serial", "process")
+        }
+
+    @staticmethod
+    def degenerate_query(kind):
+        query = LabeledGraph(kind)
+        if kind == "single-vertex":
+            query.add_vertex(0, "C")
+        elif kind == "disconnected":
+            for vertex, label in enumerate("CCOC"):
+                query.add_vertex(vertex, label)
+            query.add_edge(0, 1, label="single")
+            query.add_edge(2, 3, label="double")
+        return query
+
+    @pytest.mark.parametrize("kind", ["empty", "single-vertex", "disconnected"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("shards", [1, 2], ids=["unsharded", "2-shards"])
+    def test_answers_equal_oracle(self, database, engines, shards, executor, kind):
+        from helpers import oracle_answers
+
+        engine = engines[(shards, executor)]
+        query = self.degenerate_query(kind)
+        for sigma in (0.0, 1.0):
+            expected = oracle_answers(database, engine.measure, query, sigma)
+            result = engine.search(query, sigma)
+            assert (result.answer_ids, result.answer_distances) == expected
+            batch = engine.search_many([query, query], sigma, workers=2, executor=executor)
+            for result in batch:
+                assert (result.answer_ids, result.answer_distances) == expected
+            if kind != "disconnected":
+                assert expected[0] == database.graph_ids()
+                assert set(expected[1].values()) == {0.0}

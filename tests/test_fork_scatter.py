@@ -2,7 +2,7 @@
 
 The sharded engine publishes its per-shard strategies before every scatter
 and ships only plain items naming them (publication token, shard position,
-index generation, queries, plans, sigma, verify flags); process workers
+index generation, queries, plans, sigma, the verify flag); process workers
 read the shards from the memory they inherited at fork.  Covered here:
 
 * answers equal the oracle for shards {1, 2, 4} x every executor, started
@@ -13,7 +13,9 @@ read the shards from the memory they inherited at fork.  Covered here:
   :class:`~repro.core.errors.StaleShardStateError`;
 * scatter items carry no index, database or view;
 * a worker forked while another thread holds a counter or cache lock
-  still runs (``repro.perf`` renews the locks in the child).
+  still runs (``repro.perf`` renews the locks in the child);
+* a worker killed mid-scatter costs a counted fallback, not an answer, and
+  the next scatter forks a working pool.
 """
 
 from __future__ import annotations
@@ -21,12 +23,15 @@ from __future__ import annotations
 import copy
 import io
 import multiprocessing
+import os
 import pickle
+import signal
 import sys
 import threading
 
 import pytest
 
+import repro.engine.facade
 import repro.exec
 from repro.core import GraphDatabase
 from repro.core.errors import StaleShardStateError
@@ -240,7 +245,6 @@ class TestStaleItems:
             "plans": [None],
             "sigma": 1.0,
             "verify": True,
-            "verify_workers": None,
         }
         return engine, item
 
@@ -390,3 +394,82 @@ def test_fork_while_another_thread_holds_a_lock(
             engine.database, engine.measure, query, 1.0
         )
     assert engine.index.counters.get("exec.process_fallbacks") == 0
+
+
+# ----------------------------------------------------------------------
+# a worker killed mid-scatter
+# ----------------------------------------------------------------------
+#: ``(parent pid, marker path)`` while a kill is armed; forked workers
+#: inherit it
+_KILL = None
+
+
+def _killing_shard_task(item):
+    """:func:`_shard_task`, except that the first forked worker to reach
+    shard 0 SIGKILLs itself (the marker file makes it happen once)."""
+    if _KILL is not None and item["shard"] == 0 and os.getpid() != _KILL[0]:
+        try:
+            os.close(os.open(_KILL[1], os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return _shard_task(item)
+
+
+def _search_within(engine, query, timeout=60):
+    """``engine.search`` in a helper thread, failing instead of hanging."""
+    outcome = {}
+
+    def run():
+        outcome["result"] = engine.search(query, 1.0)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=timeout)
+    assert not runner.is_alive(), "scatter hung after a worker was killed"
+    return outcome["result"]
+
+
+@needs_fork
+@pytest.mark.parametrize("started", [False, True], ids=["per-call", "resident"])
+def test_killed_worker_mid_scatter(
+    database, queries, started, tmp_path, monkeypatch, fork_counter
+):
+    """One of two forked workers dies by SIGKILL while it runs a shard.
+
+    The broken pool is counted in ``exec.process_fallbacks`` and the whole
+    scatter reruns — serially when the pool was per call, on a fresh
+    per-call pool when it was the started engine's resident one — so the
+    answers still equal the oracle.  The next scatter forks a pool again,
+    and that pool works.
+    """
+    engine = build(database, 2)
+    marker = tmp_path / "killed"
+    monkeypatch.setattr(
+        sys.modules[__name__], "_KILL", (os.getpid(), str(marker))
+    )
+    monkeypatch.setattr(repro.engine.facade, "_shard_task", _killing_shard_task)
+    fallbacks = engine.index.counters
+    if started:
+        engine.start(result_cache_size=0)
+    try:
+        first = _search_within(engine, queries[0])
+        assert marker.exists(), "no worker was killed"
+        assert answers(first) == oracle_answers(
+            engine.database, engine.measure, queries[0], 1.0
+        )
+        assert fallbacks.get("exec.process_fallbacks") == 1
+        # per call: the killed pool, then the serial rerun; resident: the
+        # resident pool, then the per-call rerun
+        assert len(fork_counter) == (2 if started else 1)
+
+        forks_before = len(fork_counter)
+        second = _search_within(engine, queries[1])
+        assert len(fork_counter) == forks_before + 1
+        assert fallbacks.get("exec.process_fallbacks") == 1
+        assert answers(second) == oracle_answers(
+            engine.database, engine.measure, queries[1], 1.0
+        )
+    finally:
+        engine.close()

@@ -295,7 +295,8 @@ def _engine_search(engine):
 
 
 class TestEngineByteIdentity:
-    """End-to-end: kernel and legacy engines return identical answers."""
+    """End-to-end: the engine (array kernel) answers like the oracle
+    (legacy verifier over the recursive reference search)."""
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_answers_identical_across_kernels(self, shards):
@@ -309,41 +310,31 @@ class TestEngineByteIdentity:
                 queries.append(query)
         sigmas = [0.0, 1.5, 4.0]
 
-        engines = {
-            mode: Engine.build(
-                database, EngineConfig(kernel=mode, shards=shards)
-            )
-            for mode in ("array", "legacy")
-        }
-        # the configured kernel mode reaches the strategy's verifier
-        assert engines["legacy"].strategy.get_verifier().use_kernel is False
-        assert engines["array"].strategy.get_verifier().use_kernel is True
-        payloads = {
-            mode: _answers_payload(_engine_search(engine), queries, sigmas)
-            for mode, engine in engines.items()
-        }
-        assert payloads["array"] == payloads["legacy"]
-
-        # and both agree with the NaiveSearch oracle (legacy verifier,
-        # recursive search)
-        measure = engines["array"].measure
+        engine = Engine.build(database, EngineConfig(shards=shards))
+        strategies = (
+            engine._shard_strategy_list() if shards > 1 else [engine.strategy]
+        )
+        # every verifier the engine runs uses the array kernel
+        assert all(s.get_verifier().use_kernel is True for s in strategies)
+        payload = _answers_payload(_engine_search(engine), queries, sigmas)
         oracle = _answers_payload(
-            lambda query, sigma: oracle_answers(database, measure, query, sigma),
+            lambda query, sigma: oracle_answers(
+                database, engine.measure, query, sigma
+            ),
             queries,
             sigmas,
         )
-        assert oracle == payloads["array"]
+        assert payload == oracle
 
     def test_stats_surface_nodes_expanded(self):
         database = _build_database(count=12)
-        engine = Engine.build(database, EngineConfig(kernel="array"))
+        engine = Engine.build(database, EngineConfig())
         rng = random.Random(13)
         query = sample_connected_subgraph(
             database[database.graph_ids()[0]], 4, rng
         ) or random_molecule(rng, num_vertices=4)
         engine.search(query, 2.0)
         stats = engine.stats()["verify"]
-        assert stats["kernel"] == "array"
-        assert stats["nodes_expanded"] >= 0
-        serving = engine.serving_stats()["verify"]
-        assert serving["kernel"] == "array"
+        assert "kernel" not in stats
+        assert stats["nodes_expanded"] > 0
+        assert engine.serving_stats()["verify"] == stats

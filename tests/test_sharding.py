@@ -5,7 +5,7 @@ registry, counter merging), :class:`repro.index.ShardedFragmentIndex`
 (partitioning, id-space alignment, the merged read interface, parallel
 builds), scatter-gather equivalence — answers byte-identical to the
 unsharded engine across every executor — counter-merge exactness,
-process-executor verification, schema-v4 persistence (inline and
+schema-v4 persistence (inline and
 manifest + per-shard files, with v1–v3 still loading as a single shard),
 randomized add/remove/search interleavings against an unsharded engine and
 a from-scratch rebuild, and the sharded CLI flow.
@@ -54,7 +54,7 @@ from repro.index.sharded import (
 )
 from repro.mining.exhaustive import ExhaustiveFeatureSelector
 from repro.perf import GLOBAL_COUNTERS, PerfCounters
-from repro.search import BoundedVerifier, PISearch
+from repro.search import PISearch
 
 from helpers import oracle_answers
 
@@ -414,44 +414,6 @@ class TestCounterMerging:
     def test_merge_search_results_rejects_empty(self):
         with pytest.raises(EngineConfigError):
             merge_search_results([], num_database_graphs=0, num_shards=4)
-
-
-# ----------------------------------------------------------------------
-# process-executor verification (verify_workers through repro.exec)
-# ----------------------------------------------------------------------
-class TestProcessVerification:
-    def test_bounded_verifier_process_matches_serial(self, database, queries):
-        measure = default_edge_mutation_distance()
-        serial = BoundedVerifier(database, measure)
-        process = BoundedVerifier(database, measure, workers=2, executor="process")
-        candidate_ids = database.graph_ids()
-        for query in queries:
-            expected = serial.verify(query, 2.0, candidate_ids)
-            assert process.verify(query, 2.0, candidate_ids) == expected
-
-    def test_process_verification_warms_the_parent_cache(self, database, queries):
-        measure = default_edge_mutation_distance()
-        verifier = BoundedVerifier(database, measure, workers=2, executor="process")
-        candidate_ids = database.graph_ids()
-        verifier.verify(queries[0], 2.0, candidate_ids)
-        assert len(verifier.distance_cache) > 0
-        explored_before = verifier.counters.get("verify.superpositions_explored")
-        verifier.verify(queries[0], 2.0, candidate_ids)  # pure cache replay
-        assert (
-            verifier.counters.get("verify.superpositions_explored")
-            == explored_before
-        )
-
-    def test_engine_process_verify_workers(self, database, queries):
-        plain = Engine.build(copy.deepcopy(database), EngineConfig(**CONFIG))
-        process = Engine.build(
-            copy.deepcopy(database),
-            EngineConfig(**CONFIG, executor="process", verify_workers=2),
-        )
-        for query in queries:
-            assert answers_payload(process.search(query, 2.0)) == answers_payload(
-                plain.search(query, 2.0)
-            )
 
 
 # ----------------------------------------------------------------------

@@ -10,15 +10,7 @@ from repro.core import GraphDatabase, default_edge_mutation_distance
 from repro.core.superimposed import best_superposition
 from repro.engine import Engine, EngineConfig
 from repro.perf import MemoCache
-from repro.search import (
-    BoundedVerifier,
-    LegacyVerifier,
-    NaiveSearch,
-    PISearch,
-    available_verifiers,
-    make_verifier,
-    register_verifier,
-)
+from repro.search import BoundedVerifier, LegacyVerifier, NaiveSearch, PISearch
 from repro.search.verify import (
     AUTO_VERIFIER,
     DEFAULT_VERIFIER,
@@ -51,37 +43,29 @@ def legacy_truth(database, measure, query, sigma):
 
 
 # ----------------------------------------------------------------------
-# registry
+# verifier names
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_available_verifiers(self):
-        assert available_verifiers() == ["bounded", "legacy"]
+    def test_available_verifiers(self, small_database, edge_measure):
+        strategy = NaiveSearch(small_database, edge_measure)
+        with pytest.raises(UnknownComponentError) as raised:
+            strategy.get_verifier("nope")
+        assert raised.value.available == ["bounded", "legacy"]
 
     def test_auto_resolves_to_default(self):
         assert resolve_verifier_name(AUTO_VERIFIER) == DEFAULT_VERIFIER
         assert resolve_verifier_name("legacy") == "legacy"
 
     def test_make_verifier_auto(self, small_database, edge_measure):
-        verifier = make_verifier("auto", small_database, edge_measure)
-        assert isinstance(verifier, BoundedVerifier)
+        strategy = NaiveSearch(small_database, edge_measure)
+        assert isinstance(strategy.get_verifier("auto"), BoundedVerifier)
+        assert strategy.get_verifier("auto") is strategy.get_verifier("bounded")
+        assert isinstance(strategy.get_verifier("legacy"), LegacyVerifier)
 
     def test_unknown_verifier(self, small_database, edge_measure):
-        with pytest.raises(UnknownComponentError):
-            make_verifier("nope", small_database, edge_measure)
-
-    def test_register_verifier_roundtrip(self, small_database, edge_measure):
-        from repro.search import verify as verify_module
-
-        class EchoVerifier(LegacyVerifier):
-            name = "echo-test"
-
-        register_verifier(EchoVerifier)
-        try:
-            assert "echo-test" in available_verifiers()
-            built = make_verifier("echo-test", small_database, edge_measure)
-            assert isinstance(built, EchoVerifier)
-        finally:
-            del verify_module._VERIFIERS["echo-test"]
+        strategy = NaiveSearch(small_database, edge_measure)
+        with pytest.raises(UnknownComponentError, match="unknown verifier 'nope'"):
+            strategy.get_verifier("nope")
 
     def test_strategy_rejects_bad_verifier_lazily(self, small_database, edge_measure):
         strategy = NaiveSearch(small_database, edge_measure, verifier="nope")
@@ -165,27 +149,6 @@ class TestEquivalence:
             verifier.verify(query, sigma, list(small_database.graph_ids())) == truth
         )
 
-    def test_parallel_identical_to_serial(self, small_database, edge_measure, query):
-        serial = BoundedVerifier(small_database, edge_measure)
-        parallel = BoundedVerifier(small_database, edge_measure, workers=4)
-        candidates = list(small_database.graph_ids())
-        for sigma in (0.0, 1.0, 3.0):
-            assert parallel.verify(query, sigma, candidates) == serial.verify(
-                query, sigma, candidates
-            )
-        assert parallel.counters.get("verify.parallel_batches") > 0
-
-    def test_workers_argument_overrides_default(
-        self, small_database, edge_measure, query
-    ):
-        verifier = BoundedVerifier(small_database, edge_measure, workers=0)
-        candidates = list(small_database.graph_ids())
-        truth = legacy_truth(small_database, edge_measure, query, 2.0)
-        assert (
-            verifier.verify(query, 2.0, candidates, workers=3) == truth
-        )
-        assert verifier.counters.get("verify.parallel_batches") == 1
-
     def test_pis_search_matches_naive_all_paths(self, small_database, small_index):
         """End-to-end: PIS with the bounded verifier equals the naive truth."""
         rng = random.Random(17)
@@ -195,20 +158,14 @@ class TestEquivalence:
         ]
         naive = NaiveSearch(small_database, small_index.measure)
         pis = PISearch(small_database, index=small_index)
-        pis_parallel = PISearch(
-            small_database, index=small_index, verify_workers=4
-        )
         for query in queries:
             if query is None:
                 continue
             for sigma in (1.0, 2.0):
                 truth = naive.search(query, sigma)
                 optimized = pis.search(query, sigma)
-                parallel = pis_parallel.search(query, sigma)
                 assert set(optimized.answer_ids) == set(truth.answer_ids)
                 assert optimized.answer_distances == truth.answer_distances
-                assert parallel.answer_ids == optimized.answer_ids
-                assert parallel.answer_distances == optimized.answer_distances
 
 
 # ----------------------------------------------------------------------
@@ -344,65 +301,52 @@ class TestEngineWiring:
         )
         return Engine.build(small_database, config)
 
+    def test_engine_verifies_with_bounded_array_kernel(self, engine, query):
+        """The engine verifies one way: the bounded verifier over the array
+        kernel, sharing the index's distance cache."""
+        verifier = engine.strategy.get_verifier()
+        assert type(verifier) is BoundedVerifier
+        assert verifier.use_kernel is True
+        assert verifier.distance_cache is engine.index.distance_cache
+        result = engine.search(query, 1.0)
+        assert (result.answer_ids, result.answer_distances) == legacy_truth(
+            engine.database, engine.measure, query, 1.0
+        )
+
     def test_config_round_trips_verifier_fields(self):
-        config = EngineConfig(verifier="legacy", verify_workers=3)
-        rebuilt = EngineConfig.from_dict(config.to_dict())
-        assert rebuilt.verifier == "legacy"
-        assert rebuilt.verify_workers == 3
+        """``verifier``/``verify_workers``/``kernel`` are retired keys: a
+        saved config carrying them loads, and re-saving drops them."""
+        data = EngineConfig(selector_params={"max_edges": 4}).to_dict()
+        assert not {"verifier", "verify_workers", "kernel"} & set(data)
+        retired = dict(data, verifier="legacy", verify_workers=3, kernel="legacy")
+        rebuilt = EngineConfig.from_dict(retired)
+        assert rebuilt == EngineConfig.from_dict(data)
+        assert rebuilt.to_dict() == data
 
     def test_config_rejects_bad_verifier_fields(self):
-        with pytest.raises(EngineConfigError):
-            EngineConfig(verifier="")
-        with pytest.raises(EngineConfigError):
-            EngineConfig(verify_workers=-1)
-        with pytest.raises(EngineConfigError):
-            EngineConfig(verify_workers="many")
-
-    def test_engine_passes_verifier_to_strategy(self, small_database):
-        config = EngineConfig(
-            selector="exhaustive",
-            selector_params={"max_edges": 3, "min_support": 0.2, "sample_size": 10},
-            verifier="legacy",
-            verify_workers=2,
-        )
-        engine = Engine.build(small_database, config)
-        assert engine.strategy.verifier_name == "legacy"
-        assert engine.strategy.verify_workers == 2
-        assert isinstance(engine.strategy.get_verifier(), LegacyVerifier)
-
-    def test_engine_verify_workers_per_call(self, engine, small_database, query):
-        base = engine.search(query, 1.0)
-        parallel = engine.search(query, 1.0, verify_workers=4)
-        assert parallel.answer_ids == base.answer_ids
-        assert parallel.answer_distances == base.answer_distances
-
-    def test_search_many_verify_workers(self, engine, small_database, query):
-        batch = engine.search_many([query, query], 1.0, verify_workers=3)
-        serial = engine.search_many([query, query], 1.0)
-        assert [r.answer_ids for r in batch] == [r.answer_ids for r in serial]
+        """The retired fields are not constructor arguments any more."""
+        for key, value in (
+            ("verifier", "legacy"),
+            ("verifier", ""),
+            ("verify_workers", 2),
+            ("verify_workers", -1),
+            ("kernel", "array"),
+        ):
+            with pytest.raises(TypeError):
+                EngineConfig(**{key: value})
 
     def test_config_reassignment_rebuilds_strategy(
         self, engine, small_database, query
     ):
         """Assigning engine.config must drop the cached strategy, so a
-        verifier override takes effect even after the engine was queried."""
+        strategy-parameter change takes effect even after the engine was
+        queried."""
         engine.search(query, 1.0)  # builds and caches the strategy
-        assert isinstance(engine.strategy.get_verifier(), BoundedVerifier)
-        engine.config = engine.config.replace(verifier="legacy")
-        assert engine.strategy.verifier_name == "legacy"
-        assert isinstance(engine.strategy.get_verifier(), LegacyVerifier)
+        assert engine.strategy.epsilon == 0.0
+        engine.config = engine.config.replace(strategy_params={"epsilon": 0.25})
+        assert engine.strategy.epsilon == 0.25
         with pytest.raises(EngineConfigError):
             engine.config = "not a config"
-
-    def test_saved_engine_preserves_verifier_choice(
-        self, engine, small_database, tmp_path
-    ):
-        engine.config = engine.config.replace(verifier="legacy", verify_workers=2)
-        path = tmp_path / "engine.json"
-        engine.save(path)
-        reloaded = Engine.load(path, small_database)
-        assert reloaded.config.verifier == "legacy"
-        assert reloaded.config.verify_workers == 2
 
     def test_index_cache_stats_include_distance_cache(self, engine):
         names = {entry["name"] for entry in engine.index.cache_stats()}
