@@ -18,9 +18,9 @@ Subcommands
     distance against the oracle (the naive scan with the reference
     verifier and the recursive reference kernel).
 ``explain``
-    Plan sampled queries without mutating anything and print each plan —
-    chosen partition, per-fragment selectivities, and estimated vs.
-    actual candidate counts — plus the plan-cache statistics.
+    Search sampled queries without mutating anything and print each
+    query's plan — chosen partition, per-fragment selectivities, and
+    estimated vs. actual candidate counts.
 ``update``
     Incrementally add and/or remove graphs in a saved engine — no rebuild:
     the fragment index and its posting lists are updated in place and both
@@ -41,8 +41,9 @@ Subcommands
     resident worker pools and answers repeated queries from the
     generation-keyed result cache.  ``--port 0`` binds an ephemeral port;
     ``--port-file`` publishes the bound address for clients and CI.
-    ``--warm queries.json`` pre-populates the plan cache and the
-    query-fragment memo before the server accepts its first connection.
+    ``--warm queries.json`` fills the index's query-fragment and
+    range-query memos before the server accepts its first connection;
+    they stay warm until the first write.
 ``bench-serve``
     Drive a running server with N concurrent clients and report sustained
     throughput; ``--engine`` cross-checks every response against a direct
@@ -354,10 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--warm",
         type=Path,
-        help="JSON file of representative queries used to pre-populate the "
-        "plan cache and query-fragment memo before serving: either "
-        '{"sigmas": [...], "queries": [graph dicts]} or a bare list of '
-        "graph dicts (fragment-memo warm only)",
+        help="JSON file of representative queries whose fragments and range "
+        "queries fill the index's memos before serving (they stay warm "
+        'until the first write): either {"sigmas": [...], "queries": '
+        "[graph dicts]} or a bare list of graph dicts (fragment memo only)",
     )
 
     bench_serve = subparsers.add_parser(
@@ -587,24 +588,32 @@ def _command_explain(arguments: argparse.Namespace) -> int:
 def _load_warm_queries(path: Path) -> Tuple[List[object], List[float]]:
     """Parse a ``--warm`` file into ``(queries, sigmas)``.
 
-    Accepts ``{"sigmas": [...], "queries": [graph dicts]}`` or a bare list
-    of graph dicts (which warms the fragment memo only — no sigmas means
-    no plans are precomputed).
+    Accepts ``{"sigmas": [...], "queries": [graph dicts]}`` (either key may
+    be left out) or a bare list of graph dicts, which warms the fragment
+    memo only: with no sigmas nothing is planned, so no range query runs.
+    Any other document, and unreadable JSON, raises
+    :class:`~repro.core.errors.EngineConfigError`.
     """
     from .core.graph import LabeledGraph
 
-    document = json.loads(path.read_text(encoding="utf-8"))
-    if isinstance(document, list):
-        payload, sigmas = document, []
-    elif isinstance(document, dict):
-        payload = document.get("queries", [])
-        sigmas = [float(sigma) for sigma in document.get("sigmas", [])]
-    else:
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+        if isinstance(document, list):
+            payload, sigmas = document, []
+        elif isinstance(document, dict):
+            payload = document.get("queries", [])
+            sigmas = document.get("sigmas", [])
+        else:
+            raise TypeError(f"got a JSON {type(document).__name__}")
+        if not isinstance(payload, list) or not isinstance(sigmas, list):
+            raise TypeError('"queries" and "sigmas" must be lists')
+        sigmas = [float(sigma) for sigma in sigmas]
+        queries = [LabeledGraph.from_dict(entry) for entry in payload]
+    except (OSError, ValueError, TypeError, KeyError, AttributeError, PISError) as exc:
         raise EngineConfigError(
             f"--warm file {path} must hold a list of graph dicts or a "
-            '{"sigmas": [...], "queries": [...]} document'
-        )
-    queries = [LabeledGraph.from_dict(entry) for entry in payload]
+            f'{{"sigmas": [...], "queries": [...]}} document: {exc}'
+        ) from exc
     return queries, sigmas
 
 
@@ -733,17 +742,20 @@ def _serve_engine(arguments: argparse.Namespace) -> Engine:
 
 
 def _command_serve(arguments: argparse.Namespace) -> int:
+    if arguments.warm is not None:
+        # Read the file first: a malformed one fails before the build.
+        warm_queries, warm_sigmas = _load_warm_queries(arguments.warm)
     engine = _serve_engine(arguments)
     if arguments.result_cache_size is not None:
         engine.config = engine.config.replace(
             result_cache_size=arguments.result_cache_size
         )
     if arguments.warm is not None:
-        warm_queries, warm_sigmas = _load_warm_queries(arguments.warm)
         summary = engine.warm(warm_queries, warm_sigmas)
         print(
             f"warmed {summary['queries']} queries "
-            f"({summary['plans']} plans precomputed)",
+            f"({summary['plans']} plans run; the index memos stay warm "
+            "until the first write)",
             flush=True,
         )
     server = QueryServer(

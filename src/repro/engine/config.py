@@ -25,9 +25,10 @@ __all__ = ["EngineConfig"]
 
 #: keys of earlier configs that :meth:`EngineConfig.from_dict` drops, so
 #: saved configs that carry them keep loading: the per-class range-query
-#: store (the measure decides it now) and the verification knobs (the
-#: engine verifies one way: the bounded verifier with the array kernel,
-#: serially in the thread that runs the query)
+#: store (the measure decides it now), the verification knobs (the engine
+#: verifies one way: the bounded verifier with the array kernel, serially
+#: in the thread that runs the query) and the plan-cache bound (plans are
+#: not cached; the index memoizes fragments and range queries)
 _RETIRED_KEYS = (
     "backend",
     "backend_options",
@@ -35,7 +36,13 @@ _RETIRED_KEYS = (
     "verifier",
     "verify_workers",
     "kernel",
+    "plan_cache_size",
 )
+
+#: ``strategy_params`` keys that :meth:`EngineConfig.from_dict` drops and
+#: the constructor refuses: they selected the reference verifier and
+#: kernel, which only the NaiveSearch oracle uses
+_RETIRED_STRATEGY_PARAMS = ("verifier", "verify_kernel")
 
 
 @dataclass
@@ -55,6 +62,8 @@ class EngineConfig:
     strategy / strategy_params:
         Registry name of the search strategy plus its constructor
         parameters (e.g. ``"pis"`` with ``{"partition_method": "exact"}``).
+        ``verifier`` and ``verify_kernel`` are refused: the engine verifies
+        one way.
     verify:
         When false, :meth:`repro.engine.Engine.search` stops after the
         filtering phase and reports an empty answer set — useful for
@@ -85,13 +94,6 @@ class EngineConfig:
 start`); ``0`` disables it even there.  Entries are keyed by query
         content, sigma, the engine fingerprint, and the index generation,
         so a hit is always byte-identical to a fresh search.
-    plan_cache_size:
-        Capacity of the global query-plan cache
-        (:class:`repro.search.GlobalPlanner`), in plans.  Plans are keyed
-        by query content, sigma, the cutoff factor, and the index
-        generation, so mutations invalidate without clearing; unlike the
-        result cache the plan cache is always active.  ``0`` keeps the
-        plan/execute split but stores nothing.
     serve_batch_window_ms:
         Default micro-batching window of :class:`repro.serve.QueryServer`:
         how long the server waits, after one query arrives, for more
@@ -138,7 +140,6 @@ start`); ``0`` disables it even there.  Entries are keyed by query
     shards: int = 1
     executor: str = "thread"
     result_cache_size: int = 1024
-    plan_cache_size: int = 256
     serve_batch_window_ms: float = 2.0
     serve_max_batch: int = 32
     serve_max_queue: int = 1024
@@ -188,7 +189,6 @@ start`); ``0`` disables it even there.  Entries are keyed by query
                 f"got {self.serve_max_batch!r}"
             )
         for attribute, minimum in (
-            ("plan_cache_size", 0),
             ("serve_max_queue", 0),
             ("serve_max_inflight_per_conn", 0),
             ("serve_max_request_bytes", 1),
@@ -217,6 +217,12 @@ start`); ``0`` disables it even there.  Entries are keyed by query
             # Own the nested dicts: dataclasses.replace would otherwise
             # alias them between the original and the copy.
             setattr(self, attribute, copy.deepcopy(value))
+        retired = sorted(set(self.strategy_params) & set(_RETIRED_STRATEGY_PARAMS))
+        if retired:
+            raise EngineConfigError(
+                f"strategy_params {retired} are retired: the engine verifies "
+                "with the bounded verifier and the array kernel only"
+            )
         if self.measure is not None:
             if isinstance(self.measure, DistanceMeasure):
                 # Accept a live measure object and normalise it to its spec.
@@ -257,7 +263,6 @@ start`); ``0`` disables it even there.  Entries are keyed by query
             "shards": self.shards,
             "executor": self.executor,
             "result_cache_size": self.result_cache_size,
-            "plan_cache_size": self.plan_cache_size,
             "serve_batch_window_ms": self.serve_batch_window_ms,
             "serve_max_batch": self.serve_max_batch,
             "serve_max_queue": self.serve_max_queue,
@@ -272,14 +277,22 @@ start`); ``0`` disables it even there.  Entries are keyed by query
 
         Unknown keys are rejected so that typos in hand-written config
         files fail loudly instead of being silently ignored.  The retired
-        store-selection and verification keys (``_RETIRED_KEYS``) are
-        dropped, whatever their value, so older saved configs load.
+        keys (``_RETIRED_KEYS``, and ``_RETIRED_STRATEGY_PARAMS`` inside
+        ``strategy_params``) are dropped, whatever their value, so older
+        saved configs load.
         """
         if not isinstance(data, dict):
             raise EngineConfigError(
                 f"engine config must be a dict, got {type(data).__name__}"
             )
         data = {key: value for key, value in data.items() if key not in _RETIRED_KEYS}
+        params = data.get("strategy_params")
+        if isinstance(params, dict):
+            data["strategy_params"] = {
+                key: value
+                for key, value in params.items()
+                if key not in _RETIRED_STRATEGY_PARAMS
+            }
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

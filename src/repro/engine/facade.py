@@ -197,6 +197,9 @@ def _filter_only_search(
     """
     before = strategy.counters.snapshot()
     start = time.perf_counter()
+    if plan is None:
+        # Planning strategies plan here, so the result carries its plan.
+        plan = strategy.plan_query(query, sigma)
     if hasattr(strategy, "filter_candidates"):
         # Keep the strategy's full pruning report — filter-only mode
         # exists precisely to study it.
@@ -344,10 +347,9 @@ class Engine:
         self._strategy = None
         self._shard_strategies: Optional[List[SearchStrategy]] = None
         self._fingerprint: Optional[str] = None
-        # The planner's parameters (epsilon, cutoff, MWIS method, cache
-        # bound) all come from the config, so a new config needs a new
-        # planner.  Mutations, by contrast, keep the planner: its cache is
-        # generation-keyed, so stale plans simply stop hitting.
+        # The planner's parameters (epsilon, cutoff, MWIS method) all come
+        # from the config, so a new config needs a new planner.  Mutations
+        # keep it: the planner holds no state that a write can make stale.
         self._planner = None
 
     # ------------------------------------------------------------------
@@ -445,11 +447,6 @@ class Engine:
             "result_cache": (
                 self._result_cache.stats()
                 if self._result_cache is not None
-                else None
-            ),
-            "plan_cache": (
-                self._ensure_planner().cache_stats()
-                if self._supports_planning()
                 else None
             ),
             "resident_executors": [
@@ -580,8 +577,8 @@ class Engine:
             )
             if hasattr(self._strategy, "planner"):
                 # Share the engine-owned planner: the unsharded search
-                # path, the scatter driver, and cache warming then hit one
-                # plan cache instead of three.
+                # path, the scatter driver, and cache warming then plan
+                # with one set of parameters.
                 self._strategy.planner = self._ensure_planner()
         return self._strategy
 
@@ -591,9 +588,8 @@ class Engine:
     def _ensure_planner(self) -> GlobalPlanner:
         """The engine-owned :class:`~repro.search.planner.GlobalPlanner`.
 
-        Built once per config from the strategy's pruning parameters and
-        the config's ``plan_cache_size``; it survives index mutations
-        because its cache keys include the index generation.
+        Built once per config from the strategy's pruning parameters; it
+        survives index mutations, which only the index's memos track.
         """
         if self._planner is None:
             params = self.config.strategy_params
@@ -603,7 +599,6 @@ class Engine:
                 cutoff_lambda=params.get("cutoff_lambda", 1.0),
                 partition_method=params.get("partition_method", "greedy"),
                 partition_k=params.get("partition_k", 2),
-                cache_size=self.config.plan_cache_size,
                 counters=self.index.counters,
             )
         return self._planner
@@ -634,9 +629,8 @@ class Engine:
     def plan_queries(
         self, queries: Sequence[LabeledGraph], sigma: float
     ) -> Optional[List[QueryPlan]]:
-        """Plan each query once (cache-served), or ``None`` when the
-        strategy does not plan.  The scatter path ships these to every
-        shard task."""
+        """Plan each query once, or ``None`` when the strategy does not
+        plan.  The scatter path ships these to every shard task."""
         if not self._supports_planning():
             return None
         planner = self._ensure_planner()
@@ -651,46 +645,37 @@ class Engine:
         queries: Sequence[LabeledGraph],
         sigmas: Sequence[float] = (),
     ) -> Dict[str, int]:
-        """Pre-populate the query-side caches for an expected workload.
+        """Pre-populate the query-side memos for an expected workload.
 
-        Enumerates each query's fragments into the fragment memo (on a
-        sharded index this seeds every shard) and — when the strategy
-        plans — plans each ``(query, sigma)`` pair, which also warms the
-        range caches the plans touch.  ``pis serve --warm``
-        calls this on startup so the first real queries hit warm caches.
+        Enumerates each query's fragments into the index's fragment memo
+        and, when the strategy plans, plans each ``(query, sigma)`` pair,
+        which fills the range memo with the range queries those plans
+        issue.  Plans themselves are not kept.  The memos are dropped by
+        the next write, so warming pays until then.  ``pis serve --warm``
+        calls this on startup so the first real queries find warm memos.
 
-        Returns ``{"queries": ..., "plans": ...}`` counts for reporting.
+        Returns ``{"queries": ..., "plans": ...}``: the queries enumerated
+        and the ``(query, sigma)`` pairs planned.
         """
         queries = list(queries)
-        if self.is_sharded:
-            self.index.prewarm_query_fragments(queries)
-        else:
-            for query in queries:
-                self.index.enumerate_query_fragments(query)
+        for query in queries:
+            self.index.enumerate_query_fragments(query)
         planned = 0
-        if self._supports_planning() and sigmas:
-            planner = self._ensure_planner()
-            num_graphs = self._global_database_size()
-            for sigma in sigmas:
-                for query in queries:
-                    planner.plan(query, float(sigma), num_graphs=num_graphs)
-                    planned += 1
+        for sigma in sigmas:
+            planned += len(self.plan_queries(queries, float(sigma)) or ())
         return {"queries": len(queries), "plans": planned}
 
     def explain(self, query: LabeledGraph, sigma: float) -> Dict[str, Any]:
-        """Plan one query and compare the plan against the actual search.
+        """Search one query and compare its plan against the actuals.
 
-        Returns a JSON-friendly document with the plan (chosen partition,
-        per-fragment selectivities, estimated candidates), the actual
-        candidate/answer counts, and the plan-cache accounting.  Powers the
-        ``pis explain`` CLI command.
+        Returns a JSON-friendly document with the plan the search ran
+        (chosen partition, per-fragment selectivities, estimated
+        candidates; ``None`` for strategies that do not plan) and the
+        actual candidate/answer counts.  The query is planned once, by the
+        search itself.  Powers the ``pis explain`` CLI command.
         """
-        plan = None
-        if self._supports_planning():
-            plan = self._ensure_planner().plan(
-                query, sigma, num_graphs=self._global_database_size()
-            )
         result = self.search(query, sigma)
+        plan = result.plan
         return {
             "sigma": sigma,
             "plan": plan.as_dict() if plan is not None else None,
@@ -703,11 +688,6 @@ class Engine:
             "num_answers": result.num_answers,
             "method": result.method,
             "from_cache": result.from_cache,
-            "plan_cache": (
-                self._planner.cache_stats()
-                if self._planner is not None
-                else None
-            ),
         }
 
     def make_strategy(self, name: str, **params) -> SearchStrategy:
@@ -815,10 +795,6 @@ class Engine:
                 f"unknown executor {executor_name!r}; "
                 f"available: {available_executors()}"
             )
-        # Enumerate each query's fragments once, not once per shard: the
-        # result is shard-independent, and warming the shard caches here
-        # also reaches process workers, which fork after this point.
-        index.prewarm_query_fragments(queries)
         # Plan once, execute everywhere: global selectivities, one MWIS
         # solve, and the full filtering outcome computed on the driver,
         # instead of per shard.  The plans carry that outcome, so shard
@@ -907,8 +883,6 @@ class Engine:
         """
         counters = self._merged_counters()
         caches = self.index.cache_stats() + [structure_code_cache().stats()]
-        if self._planner is not None:
-            caches.append(self._planner.cache_stats())
         if self._result_cache is not None:
             caches.append(self._result_cache.stats())
         return {

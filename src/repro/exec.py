@@ -73,6 +73,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -310,6 +311,11 @@ class ThreadExecutor(Executor):
             return list(pool.map(fn, items))
 
 
+#: serializes re-forking a dropped resident pool, so two callers never
+#: fork one each
+_RESPAWN_LOCK = threading.Lock()
+
+
 class ProcessExecutor(Executor):
     """Run tasks in worker processes (real CPU parallelism, pickled payloads).
 
@@ -318,10 +324,13 @@ class ProcessExecutor(Executor):
     into the live pool.  If the resident pool dies or rejects a payload, it
     is dropped and the call degrades to the classic per-call path (which
     itself degrades to serial), so residency is an optimization, never a
-    correctness risk.
+    correctness risk.  The next call forks a new resident pool.
     """
 
     name = "process"
+
+    #: whether the next call re-forks a resident pool dropped as broken
+    _respawn = False
 
     def start(self) -> "ProcessExecutor":
         """Spawn the resident worker processes (idempotent).
@@ -331,24 +340,29 @@ class ProcessExecutor(Executor):
         per-call path with its serial fallback.
         """
         if not self._started:
-            try:
-                pool = _fork_pool(self.resident_size())
-                # Force the workers into existence now: serving latency must
-                # not pay the spawn cost on the first query, and sandboxes
-                # that only fail at first use should fail here, once.
-                pool.submit(_warmup_task, None).result()
-                self._pool = pool
-            except PROCESS_POOL_ERRORS:
-                self.counters.increment("exec.process_fallbacks")
-                self._pool = None
+            self._pool = self._spawn_resident()
             self._started = True
         return self
+
+    def _spawn_resident(self) -> Optional[ProcessPoolExecutor]:
+        """Fork a resident pool and its workers; ``None`` where that fails."""
+        try:
+            pool = _fork_pool(self.resident_size())
+            # Force the workers into existence now: serving latency must
+            # not pay the spawn cost on the first query, and sandboxes
+            # that only fail at first use should fail here, once.
+            pool.submit(_warmup_task, None).result()
+            return pool
+        except PROCESS_POOL_ERRORS:
+            self.counters.increment("exec.process_fallbacks")
+            return None
 
     def close(self) -> None:
         """Shut the resident worker processes down and leave resident mode."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        self._respawn = False
         self._started = False
 
     def _resident_outcomes(
@@ -360,20 +374,29 @@ class ProcessExecutor(Executor):
         """Submit into the live resident pool; ``None`` = pool unusable.
 
         A failing resident pool (dead workers, unpicklable payload) is shut
-        down and forgotten so later calls go straight to the per-call path
-        instead of re-hitting a broken pool.
+        down and dropped, and this call takes the per-call path.  The next
+        call forks a new resident pool in its place, once: if that fork
+        fails, the executor stays on the per-call path.
         """
-        if self._pool is None:
+        if self._pool is None and self._respawn:
+            with _RESPAWN_LOCK:
+                if self._pool is None and self._respawn:
+                    self._respawn = False
+                    self._pool = self._spawn_resident()
+        pool = self._pool
+        if pool is None:
             return None
         try:
-            return list(self._pool.map(wrapper, [(fn, item) for item in items]))
+            return list(pool.map(wrapper, [(fn, item) for item in items]))
         except PROCESS_POOL_ERRORS:
             self.counters.increment("exec.process_fallbacks")
             try:
-                self._pool.shutdown(wait=False)
+                pool.shutdown(wait=False)
             except Exception:
                 pass
-            self._pool = None
+            if self._pool is pool:
+                self._pool = None
+                self._respawn = self._started
             return None
 
     def _pooled_outcomes(

@@ -620,19 +620,6 @@ class FragmentIndex:
         self._fragment_cache.put(key, result)
         return list(result)
 
-    def prewarm_query_fragments(
-        self, query: LabeledGraph, fragments: List[QueryFragment]
-    ) -> None:
-        """Seed the query-fragment memo cache with an external enumeration.
-
-        The sharding layer enumerates a query's fragments once — all shards
-        share one feature set, so the result is shard-independent — and
-        seeds every shard's cache with it, so scatter-gather search never
-        repeats the per-shard subgraph enumeration.  The cached list must
-        be exactly what :meth:`enumerate_query_fragments` would compute.
-        """
-        self._fragment_cache.put(graph_signature(query), list(fragments))
-
     def range_query(
         self, fragment: QueryFragment, sigma: float
     ) -> Dict[int, float]:
@@ -640,17 +627,6 @@ class FragmentIndex:
 
         Memoized per ``(class, sequence, sigma)``; the returned mapping may
         be shared with the memo cache — treat it as read-only.
-        """
-        return self._range_query(fragment, sigma)
-
-    def _range_query(
-        self, fragment: QueryFragment, sigma: float
-    ) -> Dict[int, float]:
-        """:meth:`range_query` body, for the sharding layer's merged lookup.
-
-        :class:`~repro.index.sharded.ShardedFragmentIndex` answers its own
-        public ``range_query`` by calling this on every shard, so one merged
-        lookup is one call of the public method, never a nest of them.
         """
         key = (fragment.code, fragment.sequence, sigma)
         distances = self._range_cache.get(key)

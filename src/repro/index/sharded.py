@@ -314,12 +314,14 @@ class ShardedFragmentIndex:
         self._distance_cache = MemoCache(
             "verify_distance", maxsize=65536, counters=self.counters
         )
-        # Per-generation merged range results.  The planner's range queries
-        # repeat fragments across queries; without this memo every repeat
-        # would re-merge all the shard maps, multiplying a cache hit's cost
-        # by the shard count.
+        # Per-generation merged range results: the range memo of a sharded
+        # engine.  The planner's range queries repeat fragments across
+        # queries, and planning is the only query-side index work (shard
+        # tasks execute shipped plans), so this is the one memo that
+        # serves them; on a sharded engine the shards' own range memos stay
+        # empty.
         self._range_cache = MemoCache(
-            "merged_range", maxsize=4096, counters=self.counters
+            "range_query", maxsize=4096, counters=self.counters
         )
         self.align_id_space(max(shard.num_graphs for shard in shards))
 
@@ -477,37 +479,28 @@ class ShardedFragmentIndex:
         every shard, so shard 0 answers for all)."""
         return self.shards[0].enumerate_query_fragments(query)
 
-    def prewarm_query_fragments(self, queries: Iterable[LabeledGraph]) -> None:
-        """Enumerate each query's fragments once and seed every shard's cache.
-
-        Fragment enumeration — a subgraph-embedding search per feature class
-        — depends only on the feature set, which is identical in every
-        shard; without sharing, a scatter-gather search would repeat it per
-        shard.  Shard 0 computes (and caches) the result, the other shards'
-        memo caches are seeded with it, and a pickled shard carries its warm
-        cache into process-executor workers.
-        """
-        for query in queries:
-            fragments = self.shards[0].enumerate_query_fragments(query)
-            for shard in self.shards[1:]:
-                shard.prewarm_query_fragments(query, fragments)
-
     def range_query(self, fragment: QueryFragment, sigma: float) -> Dict[int, float]:
         """Merged range query over all shards (ids are disjoint).
 
         Memoized per ``(fragment, sigma, generation)``: shard ids are
         disjoint, so the merged map is a plain union, and the generation
-        key lets mutations invalidate without an explicit clear.  Each
-        shard answers through its private lookup, so one merged query is
-        one call of a public ``range_query``.  The returned mapping must
-        not be mutated.
+        key lets mutations invalidate without an explicit clear.  A miss
+        reads each shard's class store directly, bypassing the shard's own
+        range memo, so a merged result is cached once, here.  Each shard
+        read is timed into that shard's ``range_query`` counters.  The
+        returned mapping must not be mutated.
         """
         key = (fragment.code, fragment.sequence, float(sigma), self.generation)
         merged = self._range_cache.get(key)
         if merged is MemoCache.MISS:
             merged = {}
             for shard in self.shards:
-                merged.update(shard._range_query(fragment, sigma))
+                with shard.counters.timer("range_query"):
+                    merged.update(
+                        shard.get_class(fragment.code).range_query(
+                            fragment.sequence, sigma
+                        )
+                    )
             self._range_cache.put(key, merged)
         return merged
 

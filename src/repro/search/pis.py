@@ -145,7 +145,7 @@ class PISearch(SearchStrategy):
 
         The engine injects its own :class:`~repro.search.planner
         .GlobalPlanner` here so the unsharded strategy, the scatter path,
-        and cache warming all share one plan cache.
+        and cache warming all plan with the same parameters.
         """
         if self._planner is None:
             self._planner = GlobalPlanner(
@@ -163,7 +163,7 @@ class PISearch(SearchStrategy):
         self._planner = planner
 
     def plan(self, query: LabeledGraph, sigma: float) -> QueryPlan:
-        """Plan the filtering phase for one query (cached per generation)."""
+        """Plan the filtering phase for one query."""
         return self.planner.plan(query, sigma, num_graphs=self._database_size())
 
     def plan_query(self, query: LabeledGraph, sigma: float) -> QueryPlan:

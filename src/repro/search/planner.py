@@ -27,10 +27,9 @@ This module hoists planning into a single global step:
   global distance sums (:func:`math.fsum` is order-independent), so the
   plan — and therefore every downstream candidate set and report — is
   bit-identical whether the database lives in one index or sixty-four
-  shards.  Plans are memoized in a bounded
-  :class:`~repro.perf.MemoCache` keyed
-  ``(graph_signature(query), sigma, cutoff_lambda, index.generation)``:
-  mutations bump the generation, so stale plans can never hit.
+  shards.  Plans are not memoized: repeated planning work is served by the
+  index's query-fragment and range-query memos, the only query-side
+  memos.
 
 The cost model behind ``estimated_candidates`` treats fragments as
 independent filters: each fragment ``i`` keeps a ``|T_i| / n`` fraction of
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.graph import LabeledGraph
-from ..perf import MemoCache, PerfCounters, graph_signature
+from ..perf import PerfCounters, graph_signature
 from .partition import PartitionResult, check_partition_params, select_partition
 from .selectivity import SelectivityEstimator
 
@@ -135,8 +134,7 @@ class QueryPlan:
         self.__dict__.update(state)
 
     def __copy__(self) -> "QueryPlan":
-        # Plans are immutable once built (the plan cache hands the same
-        # instance to every caller), so copies — notably the result
+        # Plans are immutable once built, so copies — notably the result
         # cache's defensive deepcopy of a SearchResult carrying its plan —
         # share them instead of cloning fragments and bound maps.
         return self
@@ -219,13 +217,14 @@ class GlobalPlanner:
         :class:`~repro.search.pis.PISearch`.  An unknown method or a
         ``partition_k`` below 1 raises
         :class:`~repro.core.errors.EngineConfigError` here.
-    cache_size:
-        Bound of the plan cache (LRU eviction beyond it; ``0`` disables
-        storing).
     counters:
         Performance-counter sink.  Defaults to the index's counters, so
-        ``plan.cache_hits`` / ``plan.cache_misses`` / ``plan.seconds`` /
+        ``plan.calls`` / ``plan.seconds`` / ``plan.range_queries`` /
         ``plan.global_stats_ms`` surface through the usual profiles.
+
+    Every :meth:`plan` call builds a fresh plan.  The planner keeps no
+    cache of its own: the index memoizes each query's fragments and each
+    range query, so a repeated ``(query, sigma)`` replans from memos.
     """
 
     def __init__(
@@ -235,7 +234,6 @@ class GlobalPlanner:
         cutoff_lambda: float = 1.0,
         partition_method: str = "greedy",
         partition_k: int = 2,
-        cache_size: int = 256,
         counters: Optional[PerfCounters] = None,
     ):
         check_partition_params(partition_method, partition_k)
@@ -249,52 +247,31 @@ class GlobalPlanner:
             if counters is not None
             else getattr(index, "counters", None) or PerfCounters()
         )
-        self._cache = MemoCache(
-            "plan", maxsize=int(cache_size), counters=self.counters
-        )
 
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    def cache_key(
-        self, query: LabeledGraph, sigma: float
-    ) -> Tuple[Any, float, float, int]:
-        """The plan-cache key: query content, thresholds, index generation."""
-        return (
-            graph_signature(query),
-            float(sigma),
-            float(self.cutoff_lambda),
-            self.index.generation,
-        )
-
     def plan(
         self,
         query: LabeledGraph,
         sigma: float,
         num_graphs: Optional[int] = None,
     ) -> QueryPlan:
-        """Return the (possibly cached) plan for one ``(query, sigma)``.
+        """Build the plan for one ``(query, sigma)``.
 
         ``num_graphs`` overrides the selectivity denominator ``n``; by
-        default the index's global live-graph count is used.  Plans are
-        immutable, so cache hits return the stored object itself.
+        default the index's global live-graph count is used.
         """
-        key = self.cache_key(query, sigma)
-        cached = self._cache.get(key)
-        if cached is not MemoCache.MISS:
-            return cached
         with self.counters.timer("plan"):
-            plan = self._compute_plan(key, query, sigma, num_graphs)
-        self._cache.put(key, plan)
-        return plan
+            return self._compute_plan(query, sigma, num_graphs)
 
     def _compute_plan(
         self,
-        key: Tuple[Any, float, float, int],
         query: LabeledGraph,
         sigma: float,
         num_graphs: Optional[int],
     ) -> QueryPlan:
+        generation = self.index.generation
         n = (
             int(num_graphs)
             if num_graphs is not None
@@ -384,11 +361,11 @@ class GlobalPlanner:
                 lower_bounds[graph_id] = bound
 
         return QueryPlan(
-            query_signature=key[0],
+            query_signature=graph_signature(query),
             sigma=float(sigma),
             cutoff_lambda=self.cutoff_lambda,
             epsilon=self.epsilon,
-            generation=key[3],
+            generation=generation,
             num_database_graphs=n,
             fragments=fragments,
             selectivities=selectivities,
@@ -402,30 +379,13 @@ class GlobalPlanner:
             fragment_distances=distance_maps,
         )
 
-    # ------------------------------------------------------------------
-    # cache accounting
-    # ------------------------------------------------------------------
-    @property
-    def cache(self) -> MemoCache:
-        """The underlying plan cache (exposed for tests and stats)."""
-        return self._cache
-
     def clear_cache(self) -> None:
-        """Drop every cached plan (accounting is kept)."""
-        self._cache.clear()
-
-    def cache_stats(self) -> Dict[str, Any]:
-        """JSON-friendly plan-cache accounting, including the hit rate."""
-        stats = self._cache.stats()
-        lookups = self._cache.hits + self._cache.misses
-        stats["hit_rate"] = round(
-            self._cache.hits / lookups if lookups else 0.0, 6
-        )
-        return stats
+        """No-op: the planner keeps no cache.  Kept only for
+        ``perfbench/record.py``, its last caller."""
 
     def __repr__(self) -> str:
         return (
             f"<GlobalPlanner epsilon={self.epsilon} "
             f"cutoff_lambda={self.cutoff_lambda} "
-            f"method={self.partition_method!r} cache={len(self._cache)}>"
+            f"method={self.partition_method!r}>"
         )

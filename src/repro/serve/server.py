@@ -489,16 +489,13 @@ class QueryServer:
         The ``server`` section is the serving metrics surface: admission
         knobs, queue depth and high-water mark, accepted / shed /
         completed counters, the raw counter map, batch-size and
-        batch-wait histograms, per-op latency histograms, and the plan
-        cache's hit rate (query planning is engine-side work, but its
-        cache effectiveness is a serving concern — ``pis bench-serve``
-        prints this section).
+        batch-wait histograms, and per-op latency histograms
+        (``pis bench-serve`` prints this section).
         """
         counters = self.counters.as_dict()
         engine_stats = self.engine.serving_stats()
         return {
             "server": {
-                "plan_cache": engine_stats.get("plan_cache"),
                 "batch_window_ms": self.batch_window_ms,
                 "max_batch": self.max_batch,
                 "max_queue": self.max_queue,

@@ -15,7 +15,8 @@ read the shards from the memory they inherited at fork.  Covered here:
 * a worker forked while another thread holds a counter or cache lock
   still runs (``repro.perf`` renews the locks in the child);
 * a worker killed mid-scatter costs a counted fallback, not an answer, and
-  the next scatter forks a working pool.
+  the next scatter forks a working pool, which a started engine keeps as
+  its resident pool.
 """
 
 from __future__ import annotations
@@ -442,7 +443,8 @@ def test_killed_worker_mid_scatter(
     scatter reruns — serially when the pool was per call, on a fresh
     per-call pool when it was the started engine's resident one — so the
     answers still equal the oracle.  The next scatter forks a pool again,
-    and that pool works.
+    and that pool works.  On the started engine that pool is the new
+    resident one, so a third scatter forks nothing.
     """
     engine = build(database, 2)
     marker = tmp_path / "killed"
@@ -471,5 +473,13 @@ def test_killed_worker_mid_scatter(
         assert answers(second) == oracle_answers(
             engine.database, engine.measure, queries[1], 1.0
         )
+
+        # per call: every scatter forks its own pool; resident: the pool
+        # forked by the second scatter is resident again and serves this one
+        forks_before = len(fork_counter)
+        third = _search_within(engine, queries[0])
+        assert len(fork_counter) == forks_before + (0 if started else 1)
+        assert fallbacks.get("exec.process_fallbacks") == 1
+        assert answers(third) == answers(first)
     finally:
         engine.close()

@@ -1,17 +1,19 @@
 """Tests for the global query planner (PR 9).
 
 Covers :class:`repro.search.planner.GlobalPlanner` /
-:class:`~repro.search.planner.QueryPlan` (plan-once caching, generation
-keying, pickling), the merged global range results (the sharded merge vs.
-the unsharded index — bit-identical selectivity inputs), the plan/execute
+:class:`~repro.search.planner.QueryPlan` (replanning from the index memos,
+generation stamping, pickling), the merged global range results (the
+sharded merge vs. the unsharded index — bit-identical selectivity inputs,
+one range memo per sharded index), the plan/execute
 split in :class:`~repro.search.pis.PISearch` (sound against the
 NaiveSearch oracle), the randomized property test — planned sharded search
 byte-identical (ids + distances + reports) to unsharded across 1/2/4
 shard topologies with interleaved add/remove mutations, and answer-
 identical to the NaiveSearch oracle — the global ``num_database_graphs``
-report fix, cache warming
-(:meth:`Engine.warm`), ``Engine.explain``, the ``plan_cache`` serving
-stats, and the ``pis explain`` / ``pis serve --warm`` CLI surface.
+report fix, memo warming
+(:meth:`Engine.warm`), ``Engine.explain``, the retired
+``plan_cache_size`` key, and the ``pis explain`` / ``pis serve --warm``
+CLI surface.
 """
 
 from __future__ import annotations
@@ -121,43 +123,56 @@ class TestFragmentStatistics:
                 assert math.fsum(merged.values()) == math.fsum(single.values())
 
     def test_sharded_statistics_are_cached(self, indexes, database):
-        """A repeated merged range query is served from the merged cache,
-        not re-merged from every shard."""
+        """A repeated merged range query is served from the merged range
+        memo, not re-merged from every shard, and the shards' own range
+        memos are never filled on the way."""
         _, sharded = indexes
         query = QueryWorkload(database, seed=5).sample_queries(5, 1)[0]
         fragment = sharded.enumerate_query_fragments(query)[0]
-        before = sharded.counters.get("merged_range.cache_hits", 0.0)
+        before = sharded.counters.get("range_query.cache_hits", 0.0)
         first = sharded.range_query(fragment, 2.5)
         assert sharded.range_query(fragment, 2.5) is first
-        assert sharded.counters.get("merged_range.cache_hits", 0.0) > before
+        assert sharded.counters.get("range_query.cache_hits", 0.0) > before
         names = [stats["name"] for stats in sharded.cache_stats()]
-        assert "merged_range" in names
+        assert names[1] == "range_query"
+        assert all(len(shard._range_cache) == 0 for shard in sharded.shards)
 
 
 # ----------------------------------------------------------------------
-# GlobalPlanner: caching, generation keying, pickling, plan execution
+# GlobalPlanner: replanning from memos, generation stamping, pickling,
+# plan execution
 # ----------------------------------------------------------------------
 class TestGlobalPlanner:
     def test_repeated_planning_hits_the_cache(self, engines, queries):
+        """A repeated plan is built again, but entirely from the index's
+        fragment and range memos: no enumeration, no store lookup."""
         plain, _, _ = engines
         planner = plain.planner
         assert isinstance(planner, GlobalPlanner)
-        hits_before = planner.cache_stats()["hits"]
         first = planner.plan(queries[0], 2.0)
+        before = GLOBAL_COUNTERS.snapshot()
         second = planner.plan(queries[0], 2.0)
-        assert second is first  # cache-served, not recomputed
-        assert planner.cache_stats()["hits"] == hits_before + 1
+        delta = GLOBAL_COUNTERS.delta(before)
+        assert second is not first
+        assert second.as_dict() == first.as_dict()
+        assert second.lower_bounds == first.lower_bounds
+        assert delta.get("plan.calls", 0) == 1
+        assert delta.get("range_query.cache_hits", 0) == first.num_fragments
+        assert delta.get("range_query.cache_misses", 0) == 0
+        assert delta.get("enumerate_query_fragments.calls", 0) == 0
 
-    def test_search_populates_and_reuses_the_plan_cache(self, database, queries):
+    def test_repeated_search_replans_from_the_memos(self, database, queries):
+        """Through the engine, a repeated search plans once more and reads
+        every fragment and range result from the memos."""
         engine = Engine.build(copy.deepcopy(database), EngineConfig(**CONFIG))
-        planner = engine.planner
-        engine.search(queries[0], 2.0)
-        misses = planner.cache_stats()["misses"]
-        hits = planner.cache_stats()["hits"]
-        engine.search(queries[0], 2.0)
-        assert planner.cache_stats()["misses"] == misses
-        assert planner.cache_stats()["hits"] == hits + 1
-        assert engine.index.counters.get("plan.cache_hits", 0.0) >= 1.0
+        first = engine.search(queries[0], 2.0)
+        before = GLOBAL_COUNTERS.snapshot()
+        second = engine.search(queries[0], 2.0)
+        delta = GLOBAL_COUNTERS.delta(before)
+        assert full_payload(second) == full_payload(first)
+        assert delta.get("plan.calls", 0) == 1
+        assert delta.get("range_query.cache_misses", 0) == 0
+        assert delta.get("enumerate_query_fragments.calls", 0) == 0
 
     def test_mutation_invalidates_via_generation_key(self, database, queries):
         engine = Engine.build(copy.deepcopy(database), EngineConfig(**CONFIG))
@@ -314,11 +329,13 @@ class TestPlannedEquivalence:
         assert work[0] == work[1] == [64, 7884, 2046]
         assert answers[0] == answers[1]
 
-        # A warm repeat on the sharded engine (the last one built) is
-        # planned entirely from its plan cache.
+        # A warm repeat on the sharded engine (the last one built) plans
+        # every query again, entirely from the memos of the index it plans
+        # over: no range-memo miss and no fragment enumeration.
         delta, payloads = run_batch(engine)
-        assert delta.get("plan.cache_hits", 0) == 64
-        assert delta.get("plan.calls", 0) == 0
+        assert delta.get("plan.calls", 0) == 64
+        assert delta.get("range_query.cache_misses", 0) == 0
+        assert delta.get("enumerate_query_fragments.calls", 0) == 0
         assert payloads == answers[1]
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
@@ -343,17 +360,29 @@ class TestPlannedEquivalence:
 
 
 # ----------------------------------------------------------------------
-# warming, explain, and the serving stats surface
+# warming, explain, and the retired plan-cache key
 # ----------------------------------------------------------------------
 class TestWarmAndExplain:
-    def test_warm_precomputes_plans(self, database, queries):
-        engine = Engine.build(copy.deepcopy(database), EngineConfig(**CONFIG))
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_warm_fills_the_fragment_and_range_memos(
+        self, database, queries, shards
+    ):
+        """After warming, a warmed query at a warmed sigma plans without
+        enumerating or querying a store, on one shard or several."""
+        engine = Engine.build(
+            copy.deepcopy(database), EngineConfig(**CONFIG), shards=shards
+        )
         summary = engine.warm(queries, sigmas=[1.0, 2.0])
         assert summary == {"queries": len(queries), "plans": 2 * len(queries)}
-        planner = engine.planner
-        misses = planner.cache_stats()["misses"]
-        engine.search(queries[0], 2.0)  # plan already warm
-        assert planner.cache_stats()["misses"] == misses
+        before = GLOBAL_COUNTERS.snapshot()
+        result = engine.search(queries[0], 2.0)
+        delta = GLOBAL_COUNTERS.delta(before)
+        assert delta.get("plan.calls", 0) == 1
+        assert delta.get("range_query.cache_misses", 0) == 0
+        assert delta.get("enumerate_query_fragments.calls", 0) == 0
+        assert answers_payload(result) == oracle_answers(
+            engine.database, engine.measure, queries[0], 2.0
+        )
 
     def test_warm_without_sigmas_only_touches_fragments(self, database, queries):
         engine = Engine.build(copy.deepcopy(database), EngineConfig(**CONFIG))
@@ -368,35 +397,55 @@ class TestWarmAndExplain:
         assert document["actual_candidates"] == len(
             plain.search(queries[0], 2.0).candidate_ids
         )
-        assert document["plan_cache"]["name"] == "plan"
+        assert "plan_cache" not in document
         json.dumps(document)  # JSON-friendly end to end
 
-    def test_serving_stats_expose_plan_cache(self, engines):
-        plain, _, four = engines
-        for engine in (plain, four):
-            stats = engine.serving_stats()
-            assert stats["plan_cache"]["name"] == "plan"
-            assert stats["plan_cache"]["maxsize"] == engine.config.plan_cache_size
-
-    def test_plan_cache_size_zero_stores_nothing(self, database, queries):
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_explain_plans_once(self, database, queries, verify):
+        """``explain`` reads the plan its own search ran, so it plans the
+        query exactly once, with or without verification."""
         engine = Engine.build(
-            copy.deepcopy(database), EngineConfig(plan_cache_size=0, **CONFIG)
+            copy.deepcopy(database), EngineConfig(verify=verify, **CONFIG)
         )
         before = GLOBAL_COUNTERS.snapshot()
-        for _ in range(2):
-            result = engine.search(queries[0], 2.0)
-            assert result.report.planned
-            assert answers_payload(result) == oracle_answers(
-                engine.database, engine.measure, queries[0], 2.0
-            )
-        assert GLOBAL_COUNTERS.delta(before).get("plan.cache_hits", 0) == 0
-        assert len(engine.planner.cache) == 0
+        document = engine.explain(queries[0], 2.0)
+        assert GLOBAL_COUNTERS.delta(before).get("plan.calls", 0) == 1
+        assert document["plan"] is not None
+        assert document["plan"]["num_fragments"] > 0
+
+    def test_explain_of_a_cached_result_plans_nothing(self, database, queries):
+        """On a started engine, the result cache returns the stored plan:
+        a repeated ``explain`` plans nothing and explains the same plan."""
+        engine = Engine.build(copy.deepcopy(database), EngineConfig(**CONFIG))
+        with engine:
+            first = engine.explain(queries[0], 2.0)
+            before = GLOBAL_COUNTERS.snapshot()
+            second = engine.explain(queries[0], 2.0)
+            assert GLOBAL_COUNTERS.delta(before).get("plan.calls", 0) == 0
+        assert second["from_cache"] is True
+        assert second["plan"] == first["plan"]
 
     def test_plan_cache_size_config_round_trips(self):
-        config = EngineConfig(plan_cache_size=16)
-        assert EngineConfig.from_dict(config.to_dict()).plan_cache_size == 16
-        with pytest.raises(EngineConfigError):
-            EngineConfig(plan_cache_size=-1)
+        """``plan_cache_size`` is a retired key: a saved config that
+        carries it still loads (and re-saves without it), and the
+        constructor refuses it."""
+        saved = EngineConfig(**CONFIG).to_dict()
+        assert "plan_cache_size" not in saved
+        saved["plan_cache_size"] = 16
+        loaded = EngineConfig.from_dict(saved)
+        assert loaded == EngineConfig(**CONFIG)
+        assert "plan_cache_size" not in loaded.to_dict()
+        with pytest.raises(TypeError):
+            EngineConfig(plan_cache_size=16)
+
+    def test_serving_stats_expose_plan_cache(self, engines):
+        """Plans are not cached, so neither ``serving_stats`` nor
+        ``profile`` reports a plan cache, sharded or not."""
+        plain, _, four = engines
+        for engine in (plain, four):
+            assert "plan_cache" not in engine.serving_stats()
+            names = {cache["name"] for cache in engine.profile()["caches"]}
+            assert "plan" not in names
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +483,7 @@ class TestPlannerCLI:
         assert '"estimated_candidates"' in out
         assert '"actual_candidates"' in out
         assert '"partition"' in out
-        assert '"plan_cache"' in out
+        assert '"plan_cache"' not in out
 
     def test_explain_requires_one_source(self, tmp_path, capsys):
         db_path = tmp_path / "db.json"
@@ -467,3 +516,70 @@ class TestPlannerCLI:
         broken.write_text('"not a workload"')
         with pytest.raises(EngineConfigError):
             _load_warm_queries(broken)
+
+    @pytest.mark.parametrize(
+        "keys, expected_sigmas",
+        [
+            (("sigmas", "queries"), [1.0, 2.0]),
+            (("queries",), []),
+            (("sigmas",), [1.0, 2.0]),
+            ((), []),
+        ],
+        ids=["sigmas-and-queries", "queries-only", "sigmas-only", "empty-object"],
+    )
+    def test_warm_file_object_forms(self, tmp_path, queries, keys, expected_sigmas):
+        """Either key of the object form may be left out."""
+        full = {"sigmas": [1, 2.0], "queries": [query.to_dict() for query in queries]}
+        path = tmp_path / "warm.json"
+        path.write_text(json.dumps({key: full[key] for key in keys}))
+        warm_queries, sigmas = _load_warm_queries(path)
+        assert sigmas == expected_sigmas
+        expected = queries if "queries" in keys else []
+        assert [query.to_dict() for query in warm_queries] == [
+            query.to_dict() for query in expected
+        ]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "3",
+            '{"queries": {"name": "q"}}',
+            '{"queries": [], "sigmas": 1}',
+            '{"queries": [], "sigmas": ["wide"]}',
+            "[1, 2]",
+            '[{"vertices": [{"label": "C"}]}]',
+            '[{"edges": [{"u": 0}]}]',
+        ],
+        ids=[
+            "not-json",
+            "number",
+            "queries-not-a-list",
+            "sigmas-not-a-list",
+            "sigma-not-a-number",
+            "query-not-an-object",
+            "vertex-without-id",
+            "edge-without-endpoint",
+        ],
+    )
+    def test_warm_file_rejects_malformed_documents(self, tmp_path, text):
+        path = tmp_path / "warm.json"
+        path.write_text(text)
+        with pytest.raises(EngineConfigError):
+            _load_warm_queries(path)
+
+    def test_warm_file_that_cannot_be_read(self, tmp_path):
+        with pytest.raises(EngineConfigError):
+            _load_warm_queries(tmp_path / "missing.json")
+
+    def test_serve_refuses_a_malformed_warm_file(self, tmp_path, capsys, database):
+        """A malformed ``--warm`` file stops ``pis serve`` with exit
+        status 1 before it binds a port."""
+        db_path = tmp_path / "db.json"
+        database.save(db_path)
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"queries": 7}')
+        assert cli_main(
+            ["serve", "--database", str(db_path), "--warm", str(broken), "--port", "0"]
+        ) == 1
+        assert "--warm file" in capsys.readouterr().err

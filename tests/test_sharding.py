@@ -324,6 +324,39 @@ class TestScatterGatherEquivalence:
                 plain.database, plain.measure, query, 1.0
             )
 
+    @pytest.mark.parametrize("executor", ("serial", "thread"))
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_scatter_leaves_shard_query_memos_empty(
+        self, database, queries, shards, executor
+    ):
+        """Only the index the planner calls memoizes query-side work.
+
+        The planner enumerates through shard 0's fragment memo and merges
+        range results in the sharded index's one range memo; shard tasks
+        execute shipped plans.  So after in-process scatters every
+        shard's range memo, and the fragment memo of every shard but the
+        first, is still empty.
+        """
+        engine = Engine.build(
+            copy.deepcopy(database),
+            EngineConfig(executor=executor, **CONFIG),
+            shards=shards,
+        )
+        for sigma in (1.0, 2.0):
+            for query in queries:
+                assert answers_payload(engine.search(query, sigma)) == (
+                    oracle_answers(engine.database, engine.measure, query, sigma)
+                )
+        sizes = [
+            {cache["name"]: cache["size"] for cache in shard.cache_stats()}
+            for shard in engine.index.shards
+        ]
+        assert sizes[0]["query_fragments"] == len(queries)
+        assert all(size["query_fragments"] == 0 for size in sizes[1:])
+        assert all(size["range_query"] == 0 for size in sizes)
+        merged = {cache["name"]: cache for cache in engine.index.cache_stats()[:2]}
+        assert merged["range_query"]["size"] > 0
+
     def test_filter_only_mode(self, engines, queries):
         plain, sharded = engines
         sharded.config = sharded.config.replace(verify=False)

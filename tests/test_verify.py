@@ -335,6 +335,25 @@ class TestEngineWiring:
             with pytest.raises(TypeError):
                 EngineConfig(**{key: value})
 
+    @pytest.mark.parametrize("key", ["verifier", "verify_kernel"])
+    def test_config_refuses_legacy_strategy_params(self, key):
+        """``strategy_params`` cannot reach the reference verifier or
+        kernel: only the NaiveSearch oracle uses them."""
+        with pytest.raises(EngineConfigError, match=key):
+            EngineConfig(strategy_params={"epsilon": 0.1, key: "legacy"})
+        with pytest.raises(EngineConfigError, match=key):
+            EngineConfig().replace(strategy_params={key: "auto"})
+
+    @pytest.mark.parametrize("key", ["verifier", "verify_kernel"])
+    def test_saved_legacy_strategy_params_are_dropped(self, key):
+        """A saved config whose ``strategy_params`` carry a retired key
+        loads without it."""
+        data = EngineConfig(strategy_params={"epsilon": 0.1}).to_dict()
+        data["strategy_params"][key] = "legacy"
+        rebuilt = EngineConfig.from_dict(data)
+        assert rebuilt.strategy_params == {"epsilon": 0.1}
+        assert rebuilt == EngineConfig(strategy_params={"epsilon": 0.1})
+
     def test_config_reassignment_rebuilds_strategy(
         self, engine, small_database, query
     ):

@@ -7,13 +7,21 @@ Two filtering workloads run on the quick 60-graph environment
 * ``figure10`` — the Q24 query set at sigma 1, 3 and 5.
 
 Each runs the PIS filter cold (every memo cache cleared first) over two
-passes of its query set.  The range queries the planner issues
-(``plan.range_queries``) and the candidates the filter keeps
-(``filter.candidates``) are hardware-independent, so they are pinned to
-exact values: a change to enumeration, the range-query cache, the planner
-or the partition that does more (or different) filter work shows up here
-as a changed count.  One full search per ``(query, sigma)`` must also
-answer exactly like the NaiveSearch oracle.
+passes of its query set.  Four counts are hardware-independent, so they
+are pinned to exact values:
+
+* the range queries the planner issues (``plan.range_queries``); plans
+  are not cached, so the second pass plans again and issues them again;
+* the range queries that reach a class store (``range_query.calls``, the
+  range-memo misses);
+* the fragment enumerations that run (``enumerate_query_fragments.calls``,
+  the fragment-memo misses: one per distinct query);
+* the candidates the filter keeps (``filter.candidates``).
+
+A change to enumeration, the memos, the planner or the partition that
+does more (or different) filter work shows up here as a changed count.
+One full search per ``(query, sigma)`` must also answer exactly like the
+NaiveSearch oracle.
 
 Wall-clock speed is judged by the repository benchmark (``perfbench/``),
 not here.
@@ -30,10 +38,11 @@ from repro.search import PISearch
 from helpers import oracle_answers, quick_environment
 
 #: (name, query edges, sigmas, rounds, exact plan.range_queries,
+#: exact range_query.calls, exact enumerate_query_fragments.calls,
 #: exact filter.candidates)
 WORKLOADS = [
-    ("pruning_cost", 16, (1.0, 2.0, 3.0), 2, 1488, 1042),
-    ("figure10", 24, (1.0, 3.0, 5.0), 2, 2499, 964),
+    ("pruning_cost", 16, (1.0, 2.0, 3.0), 2, 2976, 306, 4, 1042),
+    ("figure10", 24, (1.0, 3.0, 5.0), 2, 4998, 315, 4, 964),
 ]
 
 
@@ -49,12 +58,21 @@ def workload_queries(environment, query_edges):
 
 
 @pytest.mark.parametrize(
-    "name, query_edges, sigmas, rounds, range_queries, candidates",
+    "name, query_edges, sigmas, rounds, range_queries, store_queries, "
+    "enumerations, candidates",
     WORKLOADS,
     ids=[workload[0] for workload in WORKLOADS],
 )
 def test_cold_filter_work_is_exact(
-    environment, name, query_edges, sigmas, rounds, range_queries, candidates
+    environment,
+    name,
+    query_edges,
+    sigmas,
+    rounds,
+    range_queries,
+    store_queries,
+    enumerations,
+    candidates,
 ):
     queries = workload_queries(environment, query_edges)
     environment.index.clear_caches()
@@ -69,6 +87,10 @@ def test_cold_filter_work_is_exact(
     work = GLOBAL_COUNTERS.delta(before)
 
     assert int(work.get("plan.range_queries", 0)) == range_queries, name
+    assert int(work.get("range_query.calls", 0)) == store_queries, name
+    assert (
+        int(work.get("enumerate_query_fragments.calls", 0)) == enumerations
+    ), name
     assert int(work.get("filter.candidates", 0)) == candidates, name
 
 
