@@ -58,10 +58,8 @@ from .canonical import (
     structure_code,
 )
 from .fragments import (
-    count_connected_fragments,
-    fragment_from_edges,
-    iter_connected_edge_sets,
-    iter_connected_fragments,
+    FragmentEnumerator,
+    iter_edge_shapes,
 )
 
 __all__ = [
@@ -124,8 +122,6 @@ __all__ = [
     "code_to_graph",
     "adjacency_code",
     # fragments
-    "iter_connected_edge_sets",
-    "iter_connected_fragments",
-    "count_connected_fragments",
-    "fragment_from_edges",
+    "FragmentEnumerator",
+    "iter_edge_shapes",
 ]

@@ -255,9 +255,10 @@ class DistanceMeasure:
     def sequence_distance(self, a: Sequence[Any], b: Sequence[Any]) -> float:
         """Distance between two annotation sequences of equal length.
 
-        Sequences are produced by :class:`repro.index.sequence.FragmentSequencer`
-        in the canonical order of a structural equivalence class, so position
-        ``i`` of both sequences refers to the same canonical element.
+        Sequences are read by :class:`repro.core.fragments.FragmentEnumerator`
+        in the layout of a structural equivalence class
+        (:class:`repro.index.sequence.FragmentSequencer`), so position ``i``
+        of both sequences refers to the same canonical element.
         """
         if len(a) != len(b):
             raise DistanceError(

@@ -37,6 +37,7 @@ __all__ = [
     "is_subgraph",
     "is_isomorphic",
     "automorphisms",
+    "match_plan",
 ]
 
 VertexId = Hashable
@@ -137,6 +138,28 @@ def _match_order(pattern: LabeledGraph) -> List[VertexId]:
     return ordered
 
 
+def match_plan(
+    pattern: LabeledGraph,
+) -> Tuple[List[VertexId], List[List[VertexId]]]:
+    """Return ``(order, earlier_neighbors)`` of :func:`iter_embeddings`.
+
+    ``order`` is the matching order; ``earlier_neighbors[i]`` lists the
+    pattern neighbours of ``order[i]`` that come before it.  The search
+    draws candidates for ``order[0]`` from ``target.vertices()`` and for a
+    later vertex from ``target.neighbors()`` of the first earlier
+    neighbour's image, so embeddings come out in lexicographic order of
+    their positions in those sequences.  :mod:`repro.core.fragments`
+    reproduces that order without running the search.
+    """
+    order = _match_order(pattern)
+    earlier_neighbors: List[List[VertexId]] = []
+    seen_so_far: set = set()
+    for v in order:
+        earlier_neighbors.append([w for w in pattern.neighbors(v) if w in seen_so_far])
+        seen_so_far.add(v)
+    return order, earlier_neighbors
+
+
 def iter_embeddings(
     pattern: LabeledGraph,
     target: LabeledGraph,
@@ -174,7 +197,7 @@ def iter_embeddings(
     if pattern.num_edges > target.num_edges:
         return
 
-    order = _match_order(pattern)
+    order, earlier_neighbors = match_plan(pattern)
     target_vertices = list(target.vertices())
     pattern_degrees = {v: pattern.degree(v) for v in pattern.vertices()}
     target_degrees = {v: target.degree(v) for v in target_vertices}
@@ -182,14 +205,6 @@ def iter_embeddings(
     mapping: Dict[VertexId, VertexId] = {}
     used = set()
     yielded = 0
-
-    # Pre-compute, for each position in the matching order, the already
-    # ordered neighbors, so the consistency check only looks at those.
-    earlier_neighbors: List[List[VertexId]] = []
-    seen_so_far: set = set()
-    for v in order:
-        earlier_neighbors.append([w for w in pattern.neighbors(v) if w in seen_so_far])
-        seen_so_far.add(v)
 
     def candidates(position: int) -> Sequence[VertexId]:
         pv = order[position]

@@ -3,8 +3,8 @@
 An :class:`EquivalenceClassIndex` couples the canonical skeleton of one
 structural equivalence class (Definition 4) with
 
-* a :class:`~repro.index.sequence.FragmentSequencer` that turns fragment
-  occurrences into annotation sequences, and
+* a :class:`~repro.index.sequence.FragmentSequencer` that fixes the
+  layout of the class's annotation sequences, and
 * one range-query store holding ``(sequence, graph id)`` entries, chosen
   from the measure: a :class:`~repro.index.trie.TrieBackend` for the
   mutation distance and a :class:`_VectorStore` for the vectorizable
@@ -163,26 +163,17 @@ class EquivalenceClassIndex:
         """Canonical skeleton of the class (vertices are DFS indices)."""
         return self.sequencer.skeleton
 
-    def index_graph(self, graph_id: int, graph: LabeledGraph) -> int:
-        """Index every occurrence of this class's structure in ``graph``.
-
-        Returns the number of occurrences found (0 if the structure does not
-        appear in the graph).
-        """
-        occurrences = self.sequencer.iter_occurrence_sequences(graph, self.measure)
-        return self.insert_occurrences(
-            graph_id, [sequence for _, sequence in occurrences]
-        )
-
     def insert_occurrences(
         self, graph_id: int, sequences: List[AnnotationSequence]
     ) -> int:
-        """Insert pre-enumerated occurrence sequences of one graph.
+        """Insert the occurrence sequences of one graph, in the given order.
 
-        This is the insertion half of :meth:`index_graph`; the parallel
-        builder enumerates sequences in worker processes and feeds them back
-        through here so serial and parallel builds produce byte-identical
-        indexes.
+        The sequences come from
+        :meth:`repro.core.fragments.FragmentEnumerator.class_sequences`, in
+        the serial build and in the parallel build's worker processes alike,
+        so both produce byte-identical indexes.  Returns the number of
+        occurrences inserted (0 if the structure does not appear in the
+        graph).
         """
         for sequence in sequences:
             self.store.insert(sequence, graph_id)

@@ -5,16 +5,21 @@ two steps, mirroring the paper:
 
 1. *feature selection* — a set of bare structures (skeletons, no labels) is
    chosen by one of the selectors in :mod:`repro.mining`;
-2. *fragment enumeration* — for every selected structure ``f`` and every
-   database graph ``G``, all fragments of ``G`` belonging to the structural
-   equivalence class ``[f]`` are enumerated and inserted, as annotation
-   sequences, into the per-class range-query index.
+2. *fragment enumeration* — for every database graph ``G``, all fragments
+   of ``G`` belonging to the structural equivalence class ``[f]`` of a
+   selected structure ``f`` are enumerated and inserted, as annotation
+   sequences, into the per-class range-query index.  One pass of
+   :class:`repro.core.fragments.FragmentEnumerator` grows every connected
+   edge set of ``G`` (up to the largest class's edge count) once and
+   classifies it through the index's shape memo, so every class is served
+   by the same pass rather than by one embedding search per class.
 
 The hash table of Figure 5 is the ``code -> EquivalenceClassIndex`` mapping,
 keyed by the canonical (minimum DFS) code of the structure.
 
 At query time, :meth:`FragmentIndex.enumerate_query_fragments` finds every
-indexed fragment inside a query graph; the partition-based search then picks
+indexed fragment inside a query graph with the same enumerator; the
+partition-based search then picks
 a vertex-disjoint subset of them and combines their per-class range queries
 into the lower bound of Eq. (2).
 
@@ -47,7 +52,8 @@ from ..core.canonical import CanonicalCode, structure_code
 from ..core.database import GraphDatabase
 from ..core.distance import DistanceMeasure
 from ..core.errors import FeatureNotIndexedError, IndexError_, IndexNotBuiltError
-from ..core.graph import LabeledGraph, edge_key
+from ..core.fragments import FragmentEnumerator
+from ..core.graph import LabeledGraph
 from ..perf import GLOBAL_COUNTERS, MemoCache, PerfCounters, graph_signature
 from ..store.epoch import EpochManager
 from .class_index import EquivalenceClassIndex
@@ -133,24 +139,8 @@ def _enumerate_chunk(
     the classes were given, so the parent process can replay insertions in
     exactly the serial order.
     """
-    sequencers = [(code, FragmentSequencer(code)) for code in codes]
-    results: List[Tuple[int, List[Tuple[CanonicalCode, List[AnnotationSequence]]]]] = []
-    for graph_id, graph in chunk:
-        per_graph: List[Tuple[CanonicalCode, List[AnnotationSequence]]] = []
-        for code, sequencer in sequencers:
-            skeleton = sequencer.skeleton
-            if (
-                skeleton.num_vertices > graph.num_vertices
-                or skeleton.num_edges > graph.num_edges
-            ):
-                continue
-            occurrences = sequencer.iter_occurrence_sequences(graph, measure)
-            if occurrences:
-                per_graph.append(
-                    (code, [sequence for _, sequence in occurrences])
-                )
-        results.append((graph_id, per_graph))
-    return results
+    enumerator = FragmentEnumerator([FragmentSequencer(code) for code in codes], measure)
+    return [(graph_id, enumerator.class_sequences(graph)) for graph_id, graph in chunk]
 
 
 class FragmentIndex:
@@ -200,6 +190,9 @@ class FragmentIndex:
         self._distance_cache = MemoCache(
             "verify_distance", maxsize=65536, counters=self.counters
         )
+        # The one fragment enumerator over the current class list; it owns
+        # the shape memo and is rebuilt lazily after add_feature.
+        self._enumerator: Optional[FragmentEnumerator] = None
         for feature in features:
             self.add_feature(feature)
 
@@ -255,8 +248,23 @@ class FragmentIndex:
         code = structure_code(feature)
         if code not in self._classes:
             self._classes[code] = EquivalenceClassIndex(code, self.measure)
+            self._enumerator = None
             self._mark_mutation()
         return code
+
+    @property
+    def enumerator(self) -> FragmentEnumerator:
+        """The fragment enumerator over the indexed classes, in class order.
+
+        Query-side and database-side enumeration both go through it, so
+        they share its shape memo (:mod:`repro.core.fragments`).
+        """
+        if self._enumerator is None:
+            self._enumerator = FragmentEnumerator(
+                [class_index.sequencer for class_index in self._classes.values()],
+                self.measure,
+            )
+        return self._enumerator
 
     def build(
         self,
@@ -265,11 +273,13 @@ class FragmentIndex:
     ) -> "FragmentIndex":
         """Scan the database and index every fragment of every feature class.
 
-        ``workers > 1`` fans fragment enumeration (the dominant cost: one
-        subgraph-embedding search per class and graph) out over a process
-        pool; insertions are replayed in database order, so the resulting
-        index is identical to a serial build.  Falls back to the serial path
-        if a worker pool cannot be created.
+        Each graph takes one enumeration pass that grows every connected
+        edge set up to the largest class's edge count once and classifies
+        it through the shape memo (:attr:`enumerator`).  ``workers > 1``
+        fans that pass (the dominant cost) out over a process pool;
+        insertions are replayed in database order, so the resulting index
+        is identical to a serial build.  Falls back to the serial path if a
+        worker pool cannot be created.
 
         Returns ``self`` so construction can be chained.
         """
@@ -346,14 +356,8 @@ class FragmentIndex:
         with self.epochs.write():
             reused = graph_id in self._removed_ids
             total = 0
-            for class_index in self._classes.values():
-                skeleton = class_index.skeleton
-                if (
-                    skeleton.num_vertices > graph.num_vertices
-                    or skeleton.num_edges > graph.num_edges
-                ):
-                    continue
-                total += class_index.index_graph(graph_id, graph)
+            for code, sequences in self.enumerator.class_sequences(graph):
+                total += self._classes[code].insert_occurrences(graph_id, sequences)
             self._removed_ids.discard(graph_id)
             if graph_id >= self._num_graphs:
                 self._num_graphs = graph_id + 1
@@ -568,12 +572,14 @@ class FragmentIndex:
     def enumerate_query_fragments(self, query: LabeledGraph) -> List[QueryFragment]:
         """Find every indexed fragment inside the query graph.
 
-        Each occurrence of an indexed structure in the query yields one
-        :class:`QueryFragment`.  Occurrences covering the same edge set (the
-        automorphism variants of one fragment) are collapsed into a single
-        entry, because all database-side variants are indexed and the range
-        query is therefore insensitive to which variant represents the query
-        fragment.
+        Each connected edge set of the query whose structure is indexed
+        yields one :class:`QueryFragment`, found by one pass of the
+        :attr:`enumerator`.  The automorphism variants of one fragment are
+        collapsed into a single entry, because all database-side variants
+        are indexed and the range query is therefore insensitive to which
+        variant represents the query fragment.  Fragments come in class
+        order, then in the order a per-class embedding search of the query
+        would first meet them.
 
         Results are memoized per query content (the same query graph is
         filtered repeatedly — by PIS and topoPrune, under several
@@ -589,31 +595,12 @@ class FragmentIndex:
         if cached is not MemoCache.MISS:
             return list(cached)
         with self.counters.timer("enumerate_query_fragments"):
-            fragments: Dict[Tuple[CanonicalCode, FrozenSet[EdgeKey]], QueryFragment] = {}
-            for code, class_index in self._classes.items():
-                skeleton = class_index.skeleton
-                if (
-                    skeleton.num_vertices > query.num_vertices
-                    or skeleton.num_edges > query.num_edges
-                ):
-                    continue
-                for embedding, sequence in class_index.sequencer.iter_occurrence_sequences(
-                    query, self.measure
-                ):
-                    covered_edges = frozenset(
-                        edge_key(embedding.mapping[u], embedding.mapping[v])
-                        for (u, v) in skeleton.edges()
-                    )
-                    fragment_key = (code, covered_edges)
-                    if fragment_key in fragments:
-                        continue
-                    fragments[fragment_key] = QueryFragment(
-                        code=code,
-                        vertices=frozenset(embedding.mapping.values()),
-                        edges=covered_edges,
-                        sequence=sequence,
-                    )
-        result = list(fragments.values())
+            result = [
+                QueryFragment(code, vertices, edges, sequence)
+                for code, vertices, edges, sequence in self.enumerator.query_fragments(
+                    query
+                )
+            ]
         self.counters.increment("query_fragments.enumerated", len(result))
         # Return a copy, never the cached list itself: a caller mutating its
         # fragment list must not corrupt later cache hits.

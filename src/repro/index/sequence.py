@@ -10,33 +10,33 @@ Two fragments of the same class can then be compared positionally with
 The canonical skeleton of a class is the graph reconstructed from its
 minimum DFS code (:func:`repro.core.canonical.code_to_graph`): its vertex
 ids are the DFS indices ``0..n-1`` and its edge iteration order is the DFS
-code order.  A fragment occurrence is given as an *embedding* of the
-skeleton into a host graph, so producing its sequence is just reading the
-host's annotations through the embedding.
+code order.  A fragment occurrence is an *embedding* of the skeleton into a
+host graph, and its sequence lists the host's annotations through the
+embedding: vertices in DFS-index order, then edges in DFS-code order.
+:class:`FragmentSequencer` holds that layout;
+:class:`repro.core.fragments.FragmentEnumerator` reads every sequence
+through it during its one enumeration pass over a graph, from annotation
+tables built once per graph.
 
-Because the fragment index enumerates **all** embeddings of a feature
-structure in each database graph, automorphism variants of a fragment are
-all present on the database side; a query fragment therefore needs only one
-sequence for range queries to be exact (see ``fragment_index``).
+Because the database side keeps **all** embeddings of a feature structure
+in each graph, automorphism variants of a fragment are all present there;
+a query fragment therefore needs only one sequence for range queries to be
+exact (see ``fragment_index``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..core.canonical import CanonicalCode, code_to_graph
 from ..core.distance import DistanceMeasure
 from ..core.graph import LabeledGraph
-from ..core.isomorphism import Embedding, iter_embeddings
 
 __all__ = ["FragmentSequencer"]
 
-Annotation = Any
-AnnotationSequence = Tuple[Annotation, ...]
-
 
 class FragmentSequencer:
-    """Turns fragment occurrences of one structural class into sequences.
+    """Sequence layout of one structural class.
 
     Parameters
     ----------
@@ -48,9 +48,10 @@ class FragmentSequencer:
     def __init__(self, code: CanonicalCode):
         self.code = code
         self.skeleton: LabeledGraph = code_to_graph(code)
-        # DFS indices are the skeleton's vertex ids; order them numerically.
-        self.vertex_order: List[Hashable] = sorted(self.skeleton.vertices())
-        self.edge_order: List[Tuple[Hashable, Hashable]] = list(self.skeleton.edges())
+        #: skeleton vertices in sequence order (DFS-index order)
+        self.vertex_order: List[int] = sorted(self.skeleton.vertices())
+        #: skeleton edges in sequence order (DFS-code order)
+        self.edge_order: List[Tuple[int, int]] = list(self.skeleton.edges())
 
     @property
     def num_vertices(self) -> int:
@@ -70,57 +71,3 @@ class FragmentSequencer:
         if measure.include_edges:
             length += self.num_edges
         return length
-
-    def sequence_for_embedding(
-        self,
-        host: LabeledGraph,
-        embedding: Embedding,
-        measure: DistanceMeasure,
-    ) -> AnnotationSequence:
-        """Read the annotation sequence of one occurrence in ``host``.
-
-        ``embedding`` maps skeleton vertices (DFS indices) to host vertices.
-        The sequence lists vertex annotations in DFS-index order followed by
-        edge annotations in DFS-code edge order, restricted to the element
-        kinds the measure actually scores.
-        """
-        annotations: List[Annotation] = []
-        if measure.include_vertices:
-            for skeleton_vertex in self.vertex_order:
-                host_vertex = embedding.mapping[skeleton_vertex]
-                annotations.append(measure.vertex_annotation(host, host_vertex))
-        if measure.include_edges:
-            for (u, v) in self.edge_order:
-                host_edge = (embedding.mapping[u], embedding.mapping[v])
-                annotations.append(measure.edge_annotation(host, host_edge))
-        return tuple(annotations)
-
-    def iter_occurrence_sequences(
-        self, host: LabeledGraph, measure: DistanceMeasure
-    ) -> List[Tuple[Embedding, AnnotationSequence]]:
-        """Enumerate all occurrences of the class skeleton in ``host``.
-
-        Returns ``(embedding, sequence)`` pairs, one per monomorphism of the
-        skeleton into the host graph.
-        """
-        occurrences: List[Tuple[Embedding, AnnotationSequence]] = []
-        for embedding in iter_embeddings(self.skeleton, host):
-            occurrences.append(
-                (embedding, self.sequence_for_embedding(host, embedding, measure))
-            )
-        return occurrences
-
-    def sequence_for_fragment(
-        self, fragment: LabeledGraph, measure: DistanceMeasure
-    ) -> AnnotationSequence:
-        """Return one canonical sequence for a standalone fragment graph.
-
-        The fragment must belong to this class (its skeleton must be
-        isomorphic to the class skeleton); the first monomorphism found is
-        used, which is sufficient because database entries cover all
-        automorphism variants.
-        """
-        for embedding in iter_embeddings(self.skeleton, fragment, limit=1):
-            if len(embedding.mapping) == fragment.num_vertices:
-                return self.sequence_for_embedding(fragment, embedding, measure)
-        raise ValueError("fragment does not belong to this equivalence class")

@@ -15,11 +15,11 @@ candidates unless ``count_support_on_sample`` is set).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
-from ..core.canonical import CanonicalCode, structure_code
+from ..core.canonical import CanonicalCode
 from ..core.database import GraphDatabase
-from ..core.fragments import iter_connected_edge_sets
+from ..core.fragments import ShapeKey, iter_edge_shapes, shape_code
 from ..core.graph import LabeledGraph
 from ..core.isomorphism import has_embedding
 from .base import FeatureSelector, StructureSupport
@@ -82,27 +82,27 @@ class ExhaustiveFeatureSelector(FeatureSelector):
         else:
             sampled = graph_ids
 
+        # structure codes by vertex-id-free shape key, so isomorphic edge
+        # sets that grow alike share one canonical-code computation
+        codes: Dict[ShapeKey, CanonicalCode] = {}
         candidates: Dict[CanonicalCode, StructureSupport] = {}
         for graph_id in sampled:
             graph = database[graph_id]
-            seen_in_graph: Set[CanonicalCode] = set()
-            for edge_set in iter_connected_edge_sets(
+            for edges, key, _ in iter_edge_shapes(
                 graph, self.max_edges, min_edges=self.min_edges
             ):
-                fragment = graph.edge_subgraph(edge_set)
-                code = structure_code(fragment)
-                if code in seen_in_graph:
-                    candidates[code].supporting_graphs.add(graph_id)
-                    continue
-                seen_in_graph.add(code)
-                if code not in candidates:
+                code = codes.get(key)
+                if code is None:
+                    code = codes[key] = shape_code(key)
+                support = candidates.get(code)
+                if support is None:
                     candidates[code] = StructureSupport(
-                        structure=fragment.skeleton(),
+                        structure=graph.edge_subgraph(edges).skeleton(),
                         code=code,
                         supporting_graphs={graph_id},
                     )
                 else:
-                    candidates[code].supporting_graphs.add(graph_id)
+                    support.supporting_graphs.add(graph_id)
 
         if not self.count_support_on_sample and len(sampled) < len(graph_ids):
             unsampled = [gid for gid in graph_ids if gid not in set(sampled)]

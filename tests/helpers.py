@@ -25,6 +25,7 @@ __all__ = [
     "random_connected_subgraph",
     "oracle_answers",
     "quick_environment",
+    "reference_fragments",
     "LinearScanBackend",
 ]
 
@@ -118,6 +119,40 @@ def quick_environment():
             feature_sample_size=20,
         )
     )
+
+
+def reference_fragments(codes, measure, host, every_variant):
+    """Per-class reference enumeration: one embedding search per class.
+
+    Returns ``(code, vertices, edges, sequence)`` per occurrence, in class
+    order and then search order.  ``every_variant=False`` keeps the first
+    occurrence of each ``(code, covered edges)`` (the query side);
+    ``True`` keeps every automorphism variant (the database side).
+    """
+    from repro.core import code_to_graph, edge_key, iter_embeddings
+
+    found, seen = [], set()
+    for code in codes:
+        skeleton = code_to_graph(code)
+        for embedding in iter_embeddings(skeleton, host):
+            mapping = embedding.mapping
+            edges = frozenset(edge_key(mapping[u], mapping[v]) for u, v in skeleton.edges())
+            if not every_variant and (code, edges) in seen:
+                continue
+            seen.add((code, edges))
+            sequence = []
+            if measure.include_vertices:
+                sequence += [
+                    measure.vertex_annotation(host, mapping[v])
+                    for v in sorted(skeleton.vertices())
+                ]
+            if measure.include_edges:
+                sequence += [
+                    measure.edge_annotation(host, (mapping[u], mapping[v]))
+                    for u, v in skeleton.edges()
+                ]
+            found.append((code, frozenset(mapping.values()), edges, tuple(sequence)))
+    return found
 
 
 class LinearScanBackend:

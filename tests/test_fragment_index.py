@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    FragmentEnumerator,
     GraphDatabase,
     INFINITE_DISTANCE,
     LinearMutationDistance,
@@ -43,36 +44,52 @@ class TestFragmentSequencer:
 
     def test_occurrences_in_host(self, edge_measure):
         host = cycle_graph(3, edge_labels=["a", "b", "c"])
-        sequencer = FragmentSequencer(structure_code(path_graph(1)))
-        occurrences = sequencer.iter_occurrence_sequences(host, edge_measure)
-        assert len(occurrences) == 6  # 3 edges x 2 orientations
-        sequences = {sequence for _, sequence in occurrences}
-        assert sequences == {("a",), ("b",), ("c",)}
+        code = structure_code(path_graph(1))
+        [(found, sequences)] = FragmentEnumerator(
+            [FragmentSequencer(code)], edge_measure
+        ).class_sequences(
+            host
+        )
+        assert found == code
+        assert len(sequences) == 6  # 3 edges x 2 orientations
+        assert set(sequences) == {("a",), ("b",), ("c",)}
 
     def test_sequence_for_fragment_requires_membership(self, edge_measure):
-        sequencer = FragmentSequencer(structure_code(cycle_graph(3)))
-        with pytest.raises(ValueError):
-            sequencer.sequence_for_fragment(path_graph(3), edge_measure)
-        sequence = sequencer.sequence_for_fragment(
-            cycle_graph(3, edge_labels=["x", "y", "z"]), edge_measure
+        enumerator = FragmentEnumerator(
+            [FragmentSequencer(structure_code(cycle_graph(3)))], edge_measure
         )
+        assert enumerator.class_sequences(path_graph(3)) == []
+        [(_, vertices, edges, sequence)] = enumerator.query_fragments(
+            cycle_graph(3, edge_labels=["x", "y", "z"])
+        )
+        assert vertices == {0, 1, 2} and len(edges) == 3
         assert sorted(sequence) == ["x", "y", "z"]
 
 
 class TestEquivalenceClassIndex:
     def test_index_graph_counts_occurrences(self, edge_measure):
-        class_index = EquivalenceClassIndex(structure_code(path_graph(1)), edge_measure)
+        code = structure_code(path_graph(1))
+        index = FragmentIndex([path_graph(1)], edge_measure)
         host = path_graph(2, edge_labels=["a", "b"])
-        occurrences = class_index.index_graph(0, host)
+        occurrences = index.index_graph(0, host)
         assert occurrences == 4  # 2 edges x 2 orientations
+        class_index = index.get_class(code)
         assert class_index.num_containing_graphs == 1
         assert class_index.containing_graphs() == {0}
         assert class_index.num_entries == 2  # deduplicated (sequence, gid)
 
     def test_range_query_min_distance_semantics(self, edge_measure):
-        class_index = EquivalenceClassIndex(structure_code(path_graph(1)), edge_measure)
-        class_index.index_graph(0, path_graph(2, edge_labels=["single", "double"]))
-        class_index.index_graph(1, path_graph(1, edge_labels=["aromatic"]))
+        code = structure_code(path_graph(1))
+        class_index = EquivalenceClassIndex(code, edge_measure)
+        enumerator = FragmentEnumerator([FragmentSequencer(code)], edge_measure)
+        for graph_id, graph in enumerate(
+            [
+                path_graph(2, edge_labels=["single", "double"]),
+                path_graph(1, edge_labels=["aromatic"]),
+            ]
+        ):
+            for _, sequences in enumerator.class_sequences(graph):
+                class_index.insert_occurrences(graph_id, sequences)
         result = class_index.range_query(("single",), 0)
         assert result == {0: 0.0}
         result = class_index.range_query(("single",), 1)

@@ -23,15 +23,23 @@ does more (or different) filter work shows up here as a changed count.
 One full search per ``(query, sigma)`` must also answer exactly like the
 NaiveSearch oracle.
 
+What the build writes is pinned too: the mined feature codes in order, and
+the SHA-256 of the saved index, as built and after one removal-and-addition
+batch.  Saved indexes list store entries in a canonical order, so the
+digests pin the content of every class store and its occurrence counts.
+
 Wall-clock speed is judged by the repository benchmark (``perfbench/``),
 not here.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from repro.core.canonical import structure_code_cache
+from repro.core.canonical import structure_code, structure_code_cache
+from repro.index import FragmentIndex, save_index
 from repro.perf import GLOBAL_COUNTERS
 from repro.search import PISearch
 
@@ -115,3 +123,32 @@ def test_searches_answer_like_the_oracle(environment, name, query_edges, sigmas)
                 environment.database, environment.measure, query, sigma
             )
             assert answers == expected, (name, query.name, sigma)
+
+
+#: SHA-256 of ``repr`` of the mined feature codes, in selection order
+MINED_CODES_SHA256 = "e3695279b384e5d173dde5582982fbad50819529c7ab417927f1f02f1a9c8107"
+#: SHA-256 of the saved index file, as built and after the update batch
+BUILT_INDEX_SHA256 = "c82b2405a62d1e2c9ed7d3784d070c2a6c9ee6c31ab1d143c0d80a41a54a5599"
+UPDATED_INDEX_SHA256 = "7c9b1d6602d3ea3bcec4073e722710a8be2694d001ec44a74e9091fb129d5c5d"
+
+
+def _sha256_of_saved(index, path):
+    save_index(index, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_mined_features_are_pinned(environment):
+    codes = [structure_code(feature) for feature in environment.features]
+    assert len(codes) == 10
+    assert hashlib.sha256(repr(codes).encode()).hexdigest() == MINED_CODES_SHA256
+
+
+def test_saved_index_is_pinned(environment, tmp_path):
+    path = tmp_path / "index.json"
+    assert _sha256_of_saved(environment.index, path) == BUILT_INDEX_SHA256
+    database = environment.database
+    index = FragmentIndex(environment.features, environment.measure).build(database)
+    assert _sha256_of_saved(index, path) == BUILT_INDEX_SHA256
+    index.remove_graphs([5, 20, 41])
+    index.add_graphs([(5, database[41]), (60, database[20]), (61, database[5])])
+    assert _sha256_of_saved(index, path) == UPDATED_INDEX_SHA256
