@@ -38,8 +38,8 @@ behaviour:
 True
 
 The individual components (selectors, :class:`FragmentIndex`, strategies)
-remain public for manual wiring; ``PISearch(index, db).search(query, 1)``
-still works exactly as before.
+remain public for manual wiring:
+``PISearch(db, index=index).search(query, 1)``.
 """
 
 from .core import (

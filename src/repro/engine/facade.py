@@ -6,20 +6,27 @@ way: :meth:`Engine.build` turns a database plus a declarative
 :class:`~repro.engine.config.EngineConfig` into a ready-to-query engine
 (one fragment index, or ``config.shards`` of them built in parallel
 processes), :meth:`Engine.search` / :meth:`Engine.search_many` answer SSSD
-queries — scatter-gathered across the shards of a sharded engine through a
-:mod:`repro.exec` executor and merged byte-identically to the unsharded
-answers, optionally in a worker pool — and :meth:`Engine.save` /
-:meth:`Engine.load` round-trip the configuration and the built index
-together, so a reloaded engine answers every query identically.
+queries, and :meth:`Engine.save` / :meth:`Engine.load` round-trip the
+configuration and the built index together, so a reloaded engine answers
+every query identically.
+
+Every search and batch, on one shard or many, takes one path: resolve
+result-cache hits, plan the misses once on the coordinator (process
+workers plan their own runs of an unsharded batch, in parallel), publish
+the generation's per-shard strategies (an unsharded engine is one shard)
+under a token, map :func:`_shard_task` over a :mod:`repro.exec` executor
+with plain items that name the publication, and merge per query when
+sharded — byte-identically to the unsharded answers.  Process workers
+inherit the publication at fork, so no task ships an index or a database.
 
 For serving, the engine has an explicit lifecycle: :meth:`Engine.start`
 (also entered via ``with engine:``) switches it into *resident* mode —
-executors become long-lived pools reused across every search and scatter
-(workers keep their warm per-shard caches), and a generation-keyed
-query-result cache (:mod:`repro.serve`) answers repeated queries in O(1),
-byte-identically to a fresh search.  :meth:`Engine.close` shuts the pools
-down and drops the cache; an engine that is never started behaves exactly
-as before, with per-call executors and no result cache.
+executors become long-lived pools reused across every search until the
+next write republishes — and a generation-keyed query-result cache
+(:mod:`repro.serve`) answers repeated queries in O(1), byte-identically to
+a fresh search.  :meth:`Engine.close` shuts the pools down and drops the
+cache; an engine that is never started uses per-call executors and no
+result cache.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from ..core.errors import (
     WalError,
 )
 from ..core.graph import LabeledGraph
-from ..exec import Executor, available_executors, make_executor
+from ..exec import Executor, ProcessExecutor, available_executors, make_executor
 from ..index.fragment_index import FragmentIndex
 from ..index.persistence import (
     index_from_dict,
@@ -176,30 +183,21 @@ def _check_sigma(sigma: float) -> None:
         raise InvalidSigmaError(f"sigma must be a number, got {sigma!r}")
 
 
-def _search_chunk(payload: Tuple) -> List[SearchResult]:
-    """Process-executor task: answer a slice of the batch on a pickled engine."""
-    engine, queries, sigma = payload
-    return [engine.search(query, sigma) for query in queries]
-
-
 def _filter_only_search(
     strategy: SearchStrategy,
     query: LabeledGraph,
     sigma: float,
-    plan: Optional[QueryPlan] = None,
+    plan: Optional[QueryPlan],
 ) -> SearchResult:
     """Run one query's filtering phase only (``EngineConfig.verify=False``).
 
     The answer set is left empty on purpose; strategies exposing a full
     pruning report (PIS) keep it, so filter-only mode remains usable for
-    pruning-power studies over any strategy.  A caller-supplied ``plan``
-    (the scatter path) is executed instead of planning locally.
+    pruning-power studies over any strategy.  ``plan`` is the query's plan
+    (``None`` for strategies that do not plan).
     """
     before = strategy.counters.snapshot()
     start = time.perf_counter()
-    if plan is None:
-        # Planning strategies plan here, so the result carries its plan.
-        plan = strategy.plan_query(query, sigma)
     if hasattr(strategy, "filter_candidates"):
         # Keep the strategy's full pruning report — filter-only mode
         # exists precisely to study it.
@@ -228,13 +226,14 @@ def _filter_only_search(
 _PUBLICATION_TOKENS = itertools.count()
 
 
-class _PublishedShards:
+class _Publication:
     """One generation's per-shard strategies, published for scatter tasks.
 
     Each strategy pairs a shard's :class:`FragmentIndex` with its
-    :class:`~repro.index.ShardDatabaseView`.  ``token`` is unique per
-    publication within a process, so a task can never pick up another
-    engine's shards, nor a republished engine's previous ones.
+    :class:`~repro.index.ShardDatabaseView`; an unsharded engine publishes
+    its own strategy as the one shard.  ``token`` is unique per publication
+    within a process, so a task can never pick up another engine's shards,
+    nor a republished engine's previous ones.
     """
 
     __slots__ = ("token", "generation", "strategies", "__weakref__")
@@ -245,51 +244,88 @@ class _PublishedShards:
         self.strategies = strategies
 
 
-#: token -> published shards.  A module global because a task can reach
-#: nothing else by name: process workers forked after a publication inherit
-#: this registry, so scatter items carry the token, not the shards.  Weak
+#: token -> publication.  A module global because a task can reach nothing
+#: else by name: process workers forked after a publication inherit this
+#: registry, so scatter items carry the token, not the shards.  Weak
 #: values: an entry lives as long as its engine keeps it current.
-_PUBLISHED_SHARDS: "weakref.WeakValueDictionary[int, _PublishedShards]" = (
+_PUBLISHED: "weakref.WeakValueDictionary[int, _Publication]" = (
     weakref.WeakValueDictionary()
 )
 
 
 def _shard_task(item: Dict[str, Any]) -> List[SearchResult]:
-    """Executor task of the sharded scatter-gather: one shard, all queries.
+    """The executor task of every search: one shard, a run of queries.
 
     ``item`` is plain data: the publication ``token`` and index
-    ``generation`` the driver scattered under, the ``shard`` position, the
-    ``queries`` with their driver-side ``plans``, ``sigma`` and the
-    ``verify`` flag.  The shard itself comes from :data:`_PUBLISHED_SHARDS` — looked
-    up in-process by the serial and thread executors, inherited at fork by
-    process workers.  A task whose publication this process does not hold
-    raises :class:`~repro.core.errors.StaleShardStateError` instead of
-    answering from stale shards.  Queries run sequentially: parallelism
-    comes from running shards concurrently.
+    ``generation`` the coordinator published under, the ``shard`` position,
+    the ``queries`` with their coordinator-side ``plans`` (``None``: plan
+    each query here, over ``num_graphs`` live graphs), ``sigma`` and the
+    ``verify`` flag.  The shard itself comes from :data:`_PUBLISHED` —
+    looked up in-process by the serial and thread executors, inherited at
+    fork by process workers.  A task whose publication this process does
+    not hold raises :class:`~repro.core.errors.StaleShardStateError`
+    instead of answering from stale shards.  Queries run sequentially,
+    against a copy of the shard's strategy with a private counter sink that
+    mirrors into the shard's, so each result's counters hold this task's
+    work only, however many tasks run at once.
     """
-    published = _PUBLISHED_SHARDS.get(item["token"])
+    published = _PUBLISHED.get(item["token"])
     if published is None or published.generation != item["generation"]:
         held = "none" if published is None else f"generation {published.generation}"
         raise StaleShardStateError(
             f"scatter task for publication {item['token']} at generation "
             f"{item['generation']}, but this process holds {held}"
         )
-    strategy = published.strategies[item["shard"]]
+    shard = published.strategies[item["shard"]]
+    strategy = shard.with_counters(PerfCounters(mirror=shard.counters))
     sigma = item["sigma"]
+    plans = item["plans"]
     results: List[SearchResult] = []
-    for query, plan in zip(item["queries"], item["plans"]):
-        if item["verify"]:
-            results.append(strategy.search(query, sigma, plan=plan))
+    for position, query in enumerate(item["queries"]):
+        if plans is None:
+            plan, seconds, delta = _plan_counted(
+                shard.planner, query, sigma, item["num_graphs"], [shard.counters]
+            )
         else:
-            results.append(_filter_only_search(strategy, query, sigma, plan=plan))
+            plan, seconds, delta = plans[position], 0.0, {}
+        if item["verify"]:
+            result = strategy.search(query, sigma, plan=plan)
+        else:
+            result = _filter_only_search(strategy, query, sigma, plan=plan)
+        results.append(_with_planning(result, seconds, delta))
     return results
 
 
-def _resident_key(
-    name: str, workers: int, counters: Optional[PerfCounters]
-) -> Tuple[str, int, bool]:
-    """The key a started engine files a resident executor under."""
-    return (name, int(workers), counters is not None)
+def _plan_counted(
+    planner: GlobalPlanner,
+    query: LabeledGraph,
+    sigma: float,
+    num_graphs: int,
+    sinks: List[PerfCounters],
+) -> Tuple[QueryPlan, float, Dict[str, float]]:
+    """Plan one query: ``(plan, seconds, delta)``, where ``delta`` is the
+    planning's counter delta summed over ``sinks``, every sink it feeds."""
+    before = [sink.snapshot() for sink in sinks]
+    start = time.perf_counter()
+    plan = planner.plan(query, sigma, num_graphs=num_graphs)
+    seconds = time.perf_counter() - start
+    delta = PerfCounters()
+    for sink, snapshot in zip(sinks, before):
+        delta.merge(sink.delta(snapshot))
+    return plan, seconds, delta.snapshot()
+
+
+def _with_planning(
+    result: SearchResult, seconds: float, delta: Dict[str, float]
+) -> SearchResult:
+    """Fold one query's planning into its result."""
+    result.prune_seconds += seconds
+    if delta:
+        counters = PerfCounters()
+        counters.merge(delta)
+        counters.merge(result.counters)
+        result.counters = counters.snapshot()
+    return result
 
 
 class Engine:
@@ -311,8 +347,8 @@ class Engine:
         self._strategy: Optional[SearchStrategy] = None
         self._planner: Optional[GlobalPlanner] = None
         self._started = False
-        self._resident_executors: Dict[Tuple[str, int, bool], Executor] = {}
-        self._published: Optional[_PublishedShards] = None
+        self._resident_executors: Dict[Tuple[str, int], Executor] = {}
+        self._published: Optional[_Publication] = None
         self._publish_lock = threading.Lock()
         self._result_cache: Optional[QueryResultCache] = None
         self._wal: Optional[WriteAheadLog] = None
@@ -368,13 +404,14 @@ class Engine:
     def start(self, result_cache_size: Optional[int] = None) -> "Engine":
         """Switch into resident mode: long-lived pools + result cache.
 
-        After ``start()``, every executor the engine needs (shard
-        scatter-gather, batched search) is created once, started, and
-        reused across calls — worker processes survive between queries and
-        keep their warm caches — and repeated queries are answered from a
-        bounded :class:`~repro.serve.QueryResultCache` keyed by query
-        content, sigma, the engine fingerprint, and the index generation
-        (so mutations can never serve stale answers).
+        After ``start()``, every executor the engine's searches run on is
+        created once, started, and reused across calls — worker processes
+        survive between queries until a write republishes the shards,
+        which retires every resident process pool forked before it — and
+        repeated queries are answered from a bounded
+        :class:`~repro.serve.QueryResultCache` keyed by query content,
+        sigma, the engine fingerprint, and the index generation (so
+        mutations can never serve stale answers).
 
         ``result_cache_size`` overrides the config's ``result_cache_size``;
         ``0`` starts resident pools without a result cache.  Idempotent;
@@ -413,30 +450,6 @@ class Engine:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def _executor(
-        self,
-        name: str,
-        workers: int,
-        counters: Optional[PerfCounters] = None,
-    ) -> Executor:
-        """One executor for one parallel call site.
-
-        On a started engine this returns a *resident* executor — created
-        and started on first use, then reused by every later call with the
-        same shape, so worker processes persist across searches.  On an
-        unstarted engine it returns a fresh per-call executor, preserving
-        the classic batch behaviour.
-        """
-        if not self._started:
-            return make_executor(name, workers=workers, counters=counters)
-        key = _resident_key(name, workers, counters)
-        pool = self._resident_executors.get(key)
-        if pool is None:
-            pool = make_executor(name, workers=workers, counters=counters)
-            pool.start()
-            self._resident_executors[key] = pool
-        return pool
-
     def serving_stats(self) -> Dict[str, Any]:
         """JSON-friendly serving-side view of the engine state."""
         return {
@@ -451,16 +464,16 @@ class Engine:
             ),
             "resident_executors": [
                 {"executor": name, "workers": workers}
-                for name, workers, _ in sorted(self._resident_executors)
+                for name, workers in sorted(self._resident_executors)
             ],
             "verify": self._verify_stats(),
         }
 
     def __getstate__(self) -> Dict[str, Any]:
-        # Engines are pickled into process-executor workers; resident
-        # pools and the result cache are per-process resources and must
-        # not ride along (the Executor base also refuses to pickle live
-        # pools — this keeps the whole engine copy cold).
+        # No query path pickles an engine, but copies (pickle, deepcopy)
+        # must stay cold: resident pools and the result cache are
+        # per-process resources and must not ride along (the Executor base
+        # also refuses to pickle live pools).
         state = dict(self.__dict__)
         state["_started"] = False
         state["_resident_executors"] = {}
@@ -576,9 +589,8 @@ class Engine:
                 self.config.strategy, **self.config.strategy_params
             )
             if hasattr(self._strategy, "planner"):
-                # Share the engine-owned planner: the unsharded search
-                # path, the scatter driver, and cache warming then plan
-                # with one set of parameters.
+                # Share the engine-owned planner: a direct
+                # ``engine.strategy.search`` then plans like the engine.
                 self._strategy.planner = self._ensure_planner()
         return self._strategy
 
@@ -626,19 +638,24 @@ class Engine:
         denominator — never any shard-local size."""
         return max(self.index.num_live_graphs, len(self.database))
 
+    def _counter_sinks(self) -> List[PerfCounters]:
+        """The index's counter sink and, when sharded, every shard's."""
+        sinks = [self.index.counters]
+        if self.is_sharded:
+            sinks.extend(shard.counters for shard in self.index.shards)
+        return sinks
+
     def plan_queries(
         self, queries: Sequence[LabeledGraph], sigma: float
     ) -> Optional[List[QueryPlan]]:
         """Plan each query once, or ``None`` when the strategy does not
-        plan.  The scatter path ships these to every shard task."""
+        plan.  Searches plan with the same planner and ship the plans to
+        their tasks."""
         if not self._supports_planning():
             return None
-        planner = self._ensure_planner()
         num_graphs = self._global_database_size()
-        return [
-            planner.plan(query, sigma, num_graphs=num_graphs)
-            for query in queries
-        ]
+        planner = self._ensure_planner()
+        return [planner.plan(query, sigma, num_graphs=num_graphs) for query in queries]
 
     def warm(
         self,
@@ -708,17 +725,21 @@ class Engine:
         )
 
     # ------------------------------------------------------------------
-    # sharded scatter-gather
+    # the query pipeline: plan, publish, scatter, merge
     # ------------------------------------------------------------------
     def _shard_strategy_list(self) -> List[SearchStrategy]:
-        """Per-shard strategies (built lazily, then cached).
+        """The strategies scatter tasks run, one per shard (built lazily,
+        then cached until the next write or config change).
 
-        Each strategy pairs one shard's fragment index with a
-        :class:`~repro.index.ShardDatabaseView` restricted to the shard's
+        An unsharded engine is one shard: its own :attr:`strategy`.  On a
+        sharded engine each strategy pairs one shard's fragment index with
+        a :class:`~repro.index.ShardDatabaseView` restricted to the shard's
         graph ids, so filtering, fallbacks, and verification are all
-        shard-local.  Each shard verifies serially inside its task.
+        shard-local.
         """
-        if self._shard_strategies is None:
+        if self._shard_strategies is None and not self.is_sharded:
+            self._shard_strategies = [self.strategy]
+        elif self._shard_strategies is None:
             index: ShardedFragmentIndex = self.index
             self._shard_strategies = [
                 make_strategy(
@@ -732,98 +753,124 @@ class Engine:
             ]
         return self._shard_strategies
 
-    def _publish_shards(
-        self, executor_name: str
-    ) -> Tuple[_PublishedShards, Executor]:
-        """Publish this generation's shards; return them with the scatter pool.
+    def _publish(
+        self, executor_name: str, workers: int
+    ) -> Tuple[_Publication, Executor]:
+        """Publish this generation's shards; return them with the pool.
 
         A new publication is made when the shard strategies were rebuilt
         (after a write or a config change) or the index generation moved.
-        Workers of a resident process pool hold what they inherited at
-        fork, so a new publication also closes that pool; the pool returned
-        here is then forked afresh, after the publication.  One lock covers
-        both steps, so concurrent searches never map over a pool forked
-        before the publication they scatter under.
+        The pool is a fresh per-call executor on an unstarted engine; on a
+        started one it is *resident*, created and started on first use and
+        reused by every later call of the same shape.  Workers of a
+        resident process pool hold what they inherited at fork, so a new
+        publication also closes every resident process pool; the pool
+        returned here is then forked afresh, after the publication.  One
+        lock covers both steps, so concurrent searches never map over a
+        pool forked before the publication they scatter under.
         """
-        index: ShardedFragmentIndex = self.index
-        # Whatever executor this scatter uses, a process scatter pool
-        # forked earlier would hold the old state.
-        process_key = _resident_key("process", index.num_shards, index.counters)
         with self._publish_lock:
             strategies = self._shard_strategy_list()
             published = self._published
             if (
                 published is None
                 or published.strategies is not strategies
-                or published.generation != index.generation
+                or published.generation != self.index.generation
             ):
-                published = _PublishedShards(index.generation, strategies)
-                _PUBLISHED_SHARDS[published.token] = published
+                published = _Publication(self.index.generation, strategies)
+                _PUBLISHED[published.token] = published
                 self._published = published
-                stale = self._resident_executors.pop(process_key, None)
-                if stale is not None:
-                    stale.close()
-            pool = self._executor(
-                executor_name, index.num_shards, counters=index.counters
-            )
+                for key, stale in list(self._resident_executors.items()):
+                    if isinstance(stale, ProcessExecutor):
+                        del self._resident_executors[key]
+                        stale.close()
+            key = (executor_name, workers)
+            pool = self._resident_executors.get(key)
+            if pool is None:
+                pool = make_executor(
+                    executor_name, workers=workers, counters=self.index.counters
+                )
+                if self._started:
+                    self._resident_executors[key] = pool.start()
         return published, pool
 
-    def _scatter(
+    def _compute(
         self,
-        queries: Sequence[LabeledGraph],
+        queries: List[LabeledGraph],
         sigma: float,
         executor_name: str,
+        workers: int,
     ) -> List[SearchResult]:
-        """Scatter the queries across every shard; gather merged results.
+        """Answer the queries through one scatter; see :meth:`search_many`.
 
-        Every shard answers every query over its own partition; the
-        per-shard results merge into per-query global results
-        (:func:`repro.index.merge_search_results`) that are byte-identical
-        in answer ids and distances to an unsharded engine's.  Every
-        executor runs the same task over the same plain items — the
-        publication token, shard position and generation, the queries, the
-        plans, sigma and the verify flag — and the shards themselves are
-        read from the published state (inherited at fork by process
-        workers).  Process workers' counter deltas merge back into the
-        sharded index's sink, so :meth:`profile` sees the work wherever it
-        ran.
+        Plans every query once on the coordinator, publishes, and maps
+        :func:`_shard_task` over plain items — the publication token, shard
+        position and generation, the queries with their plans, sigma and
+        the verify flag.  Each shard of a sharded engine takes the whole
+        batch and the per-shard results merge per query
+        (:func:`repro.index.merge_search_results`); the one shard of an
+        unsharded engine is split into ``workers`` contiguous runs of
+        queries whose results come back unchanged.  Process workers'
+        counter deltas merge into the index's sink, so :meth:`profile`
+        sees the work wherever it ran.  Each result absorbs its query's
+        planning time and counters (over every sink planning feeds).
         """
-        index: ShardedFragmentIndex = self.index
-        num_shards = index.num_shards
-        if executor_name not in available_executors():
-            raise EngineConfigError(
-                f"unknown executor {executor_name!r}; "
-                f"available: {available_executors()}"
-            )
-        # Plan once, execute everywhere: global selectivities, one MWIS
-        # solve, and the full filtering outcome computed on the driver,
-        # instead of per shard.  The plans carry that outcome, so shard
-        # tasks only restrict it to their live ids — no backend work.
-        plans = self.plan_queries(queries, sigma)
-        published, pool = self._publish_shards(executor_name)
-        queries = list(queries)
-        plans = list(plans) if plans is not None else [None] * len(queries)
+        if self.is_sharded:
+            num_shards = self.index.num_shards
+            runs = [(shard, 0, len(queries)) for shard in range(num_shards)]
+        else:
+            size = -(-len(queries) // workers)
+            runs = [(0, first, first + size) for first in range(0, len(queries), size)]
+        published, pool = self._publish(executor_name, workers)
+        num_graphs = self._global_database_size()
+        # Process workers plan their own runs of an unsharded batch: in
+        # parallel (planning is most of a large query's cost), and exactly
+        # counted, since a worker's sinks hold only its task's work.  Shards
+        # need one global plan, and thread tasks share the index's sinks.
+        planning = self._supports_planning()
+        plan_in_tasks = (
+            planning
+            and not self.is_sharded
+            and len(runs) > 1
+            and isinstance(pool, ProcessExecutor)
+        )
+        planned = [(None, 0.0, {})] * len(queries)
+        if planning and not plan_in_tasks:
+            planner, sinks = self._ensure_planner(), self._counter_sinks()
+            planned = [
+                _plan_counted(planner, query, sigma, num_graphs, sinks)
+                for query in queries
+            ]
+        plans = [plan for plan, _, _ in planned]
         items = [
             {
                 "token": published.token,
-                "shard": position,
+                "shard": shard,
                 "generation": published.generation,
-                "queries": queries,
-                "plans": plans,
+                "queries": queries[first:last],
+                "plans": None if plan_in_tasks else plans[first:last],
+                "num_graphs": num_graphs,
                 "sigma": sigma,
                 "verify": self.config.verify,
             }
-            for position in range(num_shards)
+            for shard, first, last in runs
         ]
-        per_shard = pool.map_counted(_shard_task, items, sink=index.counters)
-        num_live = len(self.database)
+        outputs = pool.map_counted(_shard_task, items, sink=self.index.counters)
+        if self.is_sharded:
+            num_live = len(self.database)
+            results = [
+                merge_search_results(
+                    [output[position] for output in outputs],
+                    num_database_graphs=num_live,
+                    num_shards=num_shards,
+                )
+                for position in range(len(queries))
+            ]
+        else:
+            results = [result for output in outputs for result in output]
         return [
-            merge_search_results(
-                [per_shard[shard][position] for shard in range(num_shards)],
-                num_database_graphs=num_live,
-                num_shards=num_shards,
-            )
-            for position in range(len(queries))
+            _with_planning(result, seconds, delta)
+            for result, (_, seconds, delta) in zip(results, planned)
         ]
 
     def stats(self) -> Dict[str, Any]:
@@ -840,14 +887,12 @@ class Engine:
         """Fold every counter sink the engine feeds into one view.
 
         Per-shard work lands in each shard's own sink (serial/thread
-        scatter) or is merged into the sharded sink from worker deltas
-        (process scatter); the active strategy may own a private sink.
+        executors) or is merged into the index's sink from worker deltas
+        (process executor); the active strategy may own a private sink.
         """
         counters = PerfCounters()
-        counters.merge(self.index.counters)
-        if self.is_sharded:
-            for shard in self.index.shards:
-                counters.merge(shard.counters)
+        for sink in self._counter_sinks():
+            counters.merge(sink)
         if (
             self._strategy is not None
             and self._strategy.counters is not self.index.counters
@@ -919,43 +964,9 @@ class Engine:
         or the post-batch index, never a half-applied one.
         """
         graphs = list(graphs)
-        planned = self._plan_additions(graphs, reuse_ids)
-        lsn: Optional[int] = None
-        if self._wal is not None:
-            lsn = self._wal.append(
-                "add",
-                {
-                    "graphs": [
-                        [graph_id, graph.to_dict()]
-                        for graph_id, graph in zip(planned, graphs)
-                    ]
-                },
-            )
-        assigned: List[int] = []
-        with self.index.epochs.write():
-            for graph_id, graph in zip(planned, graphs):
-                actual = (
-                    self.database.add(graph, graph_id=graph_id)
-                    if graph_id < self.database.id_bound
-                    else self.database.add(graph)
-                )
-                if actual != graph_id:
-                    raise EngineError(
-                        f"planned graph id {graph_id} but the database "
-                        f"assigned {actual}; id planning desynchronized"
-                    )
-                self.index.add_graph(actual, graph)
-                assigned.append(actual)
-        if lsn is not None:
-            self._wal_applied_lsn = lsn
-            self.database.wal_position = lsn
-        self._strategy = None
-        self._shard_strategies = None
-        if self._result_cache is not None:
-            # The generation bump already makes old entries unreachable;
-            # clearing releases their memory immediately.
-            self._result_cache.clear()
-        return assigned
+        entries = list(zip(self._plan_additions(graphs, reuse_ids), graphs))
+        self._write("add", entries)
+        return [graph_id for graph_id, _ in entries]
 
     def _plan_additions(
         self, graphs: Sequence[LabeledGraph], reuse_ids: bool
@@ -995,30 +1006,89 @@ class Engine:
                 raise EngineError(
                     f"cannot remove graph id {graph_id}: not a live database graph"
                 )
+        # Validation above means the record can always replay.
+        return self._write("remove", graph_ids)
+
+    def _write(self, op: str, entries: Sequence) -> int:
+        """Log, apply and invalidate after one write batch; see :meth:`_apply`.
+
+        With a WAL attached the batch is committed before the first
+        in-memory mutation.  The apply runs under the index's exclusive
+        write epoch.  Returns the number of index entries removed.
+        """
         lsn: Optional[int] = None
         if self._wal is not None:
-            # Validation above means the record can always replay; commit
-            # it before the first in-memory mutation.
-            lsn = self._wal.append(
-                "remove", {"graph_ids": [int(graph_id) for graph_id in graph_ids]}
-            )
-        removed = 0
+            if op == "add":
+                payload = {
+                    "graphs": [
+                        [graph_id, graph.to_dict()] for graph_id, graph in entries
+                    ]
+                }
+            else:
+                payload = {"graph_ids": [int(graph_id) for graph_id in entries]}
+            lsn = self._wal.append(op, payload)
         with self.index.epochs.write():
-            for graph_id in graph_ids:
-                self.database.remove(graph_id)
-                if (
+            removed = self._apply(op, entries)
+        if lsn is not None:
+            self._wal_applied_lsn = lsn
+            self.database.wal_position = lsn
+        self._written()
+        return removed
+
+    def _apply(
+        self,
+        op: str,
+        entries: Sequence,
+        to_database: bool = True,
+        to_index: bool = True,
+    ) -> int:
+        """Apply one batch to the selected stores: the one write routine.
+
+        ``op`` is ``"add"`` with ``(graph_id, graph)`` entries, each added
+        to the database under its planned id, or ``"remove"`` with graph
+        ids.  An index removal is skipped for an id the index no longer
+        holds live (a replay may reach the index after the database).
+        Returns the number of index entries removed.
+        """
+        removed = 0
+        if op == "add":
+            for graph_id, graph in entries:
+                if to_database:
+                    actual = (
+                        self.database.add(graph, graph_id=graph_id)
+                        if graph_id < self.database.id_bound
+                        else self.database.add(graph)
+                    )
+                    if actual != graph_id:
+                        raise EngineError(
+                            f"graph id {graph_id} was planned but the database "
+                            f"assigned {actual}; the database does not match "
+                            "the write's base state"
+                        )
+                if to_index:
+                    self.index.add_graph(graph_id, graph)
+        elif op == "remove":
+            for graph_id in entries:
+                if to_database:
+                    self.database.remove(graph_id)
+                if to_index and (
                     graph_id < self.index.num_graphs
                     and graph_id not in self.index.removed_graph_ids
                 ):
                     removed += self.index.remove_graph(graph_id)
-        if lsn is not None:
-            self._wal_applied_lsn = lsn
-            self.database.wal_position = lsn
+        else:
+            raise WalError(f"unknown WAL operation {op!r}")
+        return removed
+
+    def _written(self) -> None:
+        """Drop what a write makes stale: the strategies built over the old
+        state (which also republishes the shards) and cached results."""
         self._strategy = None
         self._shard_strategies = None
         if self._result_cache is not None:
+            # The generation bump already makes old entries unreachable;
+            # clearing releases their memory immediately.
             self._result_cache.clear()
-        return removed
 
     # ------------------------------------------------------------------
     # durability (write-ahead log)
@@ -1087,10 +1157,7 @@ class Engine:
         self._wal_applied_lsn = max(self._wal_applied_lsn, database_lsn)
         self.database.wal_position = self._wal_applied_lsn
         if applied:
-            self._strategy = None
-            self._shard_strategies = None
-            if self._result_cache is not None:
-                self._result_cache.clear()
+            self._written()
         return applied
 
     def _apply_wal_record(
@@ -1098,35 +1165,13 @@ class Engine:
     ) -> None:
         """Apply one committed WAL record to the selected stores."""
         if record.op == "add":
-            for graph_id, graph_data in record.payload.get("graphs", []):
-                graph_id = int(graph_id)
-                graph = LabeledGraph.from_dict(graph_data)
-                if to_database:
-                    actual = (
-                        self.database.add(graph, graph_id=graph_id)
-                        if graph_id < self.database.id_bound
-                        else self.database.add(graph)
-                    )
-                    if actual != graph_id:
-                        raise WalError(
-                            f"WAL replay assigned graph id {actual} where the "
-                            f"record committed {graph_id}; the database does "
-                            "not match the log's base state"
-                        )
-                if to_index:
-                    self.index.add_graph(graph_id, graph)
-        elif record.op == "remove":
-            for graph_id in record.payload.get("graph_ids", []):
-                graph_id = int(graph_id)
-                if to_database:
-                    self.database.remove(graph_id)
-                if to_index and (
-                    graph_id < self.index.num_graphs
-                    and graph_id not in self.index.removed_graph_ids
-                ):
-                    self.index.remove_graph(graph_id)
+            entries: List[Any] = [
+                (int(graph_id), LabeledGraph.from_dict(graph_data))
+                for graph_id, graph_data in record.payload.get("graphs", [])
+            ]
         else:
-            raise WalError(f"unknown WAL operation {record.op!r}")
+            entries = [int(graph_id) for graph_id in record.payload.get("graph_ids", [])]
+        self._apply(record.op, entries, to_database=to_database, to_index=to_index)
 
     def checkpoint(
         self,
@@ -1172,25 +1217,84 @@ class Engine:
             query, sigma, self.fingerprint(), self.index.generation
         )
 
-    def _batch_cache_split(
-        self, queries: Sequence[LabeledGraph], sigma: float
-    ) -> Tuple[List[Optional[SearchResult]], List[Optional[Tuple]]]:
-        """Resolve a batch against the result cache.
+    def _answer(
+        self,
+        queries: List[LabeledGraph],
+        sigma: float,
+        executor_name: str,
+        workers: int,
+    ) -> List[SearchResult]:
+        """The one query pipeline behind :meth:`search` and :meth:`search_many`.
 
-        Returns per-query ``(resolved, keys)`` lists in query order:
-        ``resolved[i]`` is the cached result (or ``None`` — still to
-        compute) and ``keys[i]`` the key to store a fresh result under.
-        Used by the batch paths that bypass :meth:`search` (sharded
-        scatter, process chunks) so only the misses pay for computation.
+        Resolves result-cache hits, computes the misses through one scatter
+        (:meth:`_compute`) under one read pin — a concurrent add/remove
+        batch waits, so every query sees the pre-batch or the post-batch
+        index, never a half-applied one — and caches what it computed.  A
+        batch that runs as one serial task on an unsharded engine (every
+        ``pis serve`` batch) scatters and pins per query instead, so a
+        writer waits for one query, not the whole batch.  A query repeated
+        within the batch is computed once; its repeats are answered from
+        the cache, as they would be one search at a time.
         """
         resolved: List[Optional[SearchResult]] = [None] * len(queries)
-        keys: List[Optional[Tuple]] = [None] * len(queries)
-        if self._result_cache is None:
-            return resolved, keys
-        for position, query in enumerate(queries):
-            keys[position] = self._cache_key(query, sigma)
-            resolved[position] = self._result_cache.get(keys[position])
-        return resolved, keys
+        keys = [self._cache_key(query, sigma) for query in queries]
+        first: Dict[Any, int] = {}
+        misses: List[int] = []
+        for position, key in enumerate(keys):
+            if key is not None:
+                if key in first:
+                    continue
+                resolved[position] = self._result_cache.get(key)
+                if resolved[position] is not None:
+                    continue
+                first[key] = position
+            misses.append(position)
+        if self.is_sharded or workers > 1:
+            groups = [misses] if misses else []
+        else:
+            groups = [[position] for position in misses]
+        for group in groups:
+            with self.index.epochs.read():
+                fresh = self._compute(
+                    [queries[position] for position in group],
+                    sigma,
+                    executor_name,
+                    workers,
+                )
+            for position, result in zip(group, fresh):
+                resolved[position] = result
+                if keys[position] is not None:
+                    self._result_cache.put(keys[position], result)
+        for position, key in enumerate(keys):
+            if resolved[position] is None:
+                resolved[position] = (
+                    self._result_cache.get(key) or resolved[first[key]]
+                )
+        return resolved
+
+    def _dispatch(
+        self, executor: Optional[str], workers: Optional[int], num_queries: int
+    ) -> Tuple[str, int, str]:
+        """``(executor, pool size, reported executor)`` for one call.
+
+        A sharded engine runs one task per shard on ``executor`` (default:
+        the config's).  An unsharded engine runs ``workers`` tasks on
+        ``executor`` (default ``"thread"``), or one serial task when there
+        is no pool to spread over.
+        """
+        if self.is_sharded:
+            name = executor or self.config.executor
+            size = self.index.num_shards
+        else:
+            name = executor or "thread"
+            size = 0 if name == "serial" else int(workers or 0)
+        if name not in available_executors():
+            raise EngineConfigError(
+                f"unknown executor {name!r}; available: {available_executors()}"
+            )
+        if not self.is_sharded and (size <= 1 or num_queries <= 1):
+            return "serial", 1, "sequential"
+        return name, size, name
 
     def search(self, query: LabeledGraph, sigma: float) -> SearchResult:
         """Answer one SSSD query with the configured strategy.
@@ -1205,14 +1309,16 @@ class Engine:
         Returns
         -------
         SearchResult
-            Candidates, answers with exact distances, per-phase timings,
+            Candidates, answers with exact distances, per-phase timings
+            (``prune_seconds`` includes the coordinator's planning),
             pruning report, and counter deltas.  On a sharded engine the
             query scatter-gathers across every shard (through the config's
             executor) and the merged result is byte-identical in answer ids
-            and distances to an unsharded engine's.  On a *started* engine
-            a repeated query is answered from the result cache
-            (``result.from_cache`` is set), byte-identically to a fresh
-            search against the current index generation.
+            and distances to an unsharded engine's; an unsharded engine
+            runs it as one serial task.  On a *started* engine a repeated
+            query is answered from the result cache (``result.from_cache``
+            is set), byte-identically to a fresh search against the current
+            index generation.
 
         Raises
         ------
@@ -1220,30 +1326,8 @@ class Engine:
             If ``sigma`` is NaN.
         """
         _check_sigma(sigma)
-        key = self._cache_key(query, sigma)
-        if key is not None:
-            cached = self._result_cache.get(key)
-            if cached is not None:
-                return cached
-        # Pin the reader epoch: a concurrent add/remove batch waits for
-        # this query to finish, so it sees the pre-batch index or the
-        # post-batch index, never a half-applied one.
-        with self.index.epochs.read():
-            result = self._search_uncached(query, sigma)
-        if key is not None:
-            self._result_cache.put(key, result)
-        return result
-
-    def _search_uncached(self, query: LabeledGraph, sigma: float) -> SearchResult:
-        """Compute one query, bypassing the result cache."""
-        if self.is_sharded:
-            return self._scatter([query], sigma, self.config.executor)[0]
-        strategy = self.strategy
-        if self.config.verify:
-            return strategy.search(query, sigma)
-        # Filter-only mode: report candidates without paying for
-        # verification (the answer set is left empty on purpose).
-        return _filter_only_search(strategy, query, sigma)
+        name, size, _ = self._dispatch(None, None, 1)
+        return self._answer([query], sigma, name, size)[0]
 
     def search_many(
         self,
@@ -1261,20 +1345,19 @@ class Engine:
         sigma:
             Distance threshold shared by the whole batch.
         workers:
-            Pool size.  ``None``, ``0`` or ``1`` runs the batch
-            sequentially in the calling thread.  Ignored on a sharded
-            engine, whose parallelism is one worker per shard.
+            Pool size.  ``None``, ``0`` or ``1`` runs the batch as one
+            serial task in the calling thread.  Ignored on a sharded
+            engine, whose parallelism is one task per shard.
         executor:
-            ``"serial"`` runs in the calling thread; ``"thread"`` shares
-            the engine across a thread pool; ``"process"`` runs in worker
-            processes (the only executor that sidesteps the GIL for
+            ``"serial"`` runs in the calling thread; ``"thread"`` runs the
+            tasks in a thread pool; ``"process"`` runs them in forked
+            worker processes (the only executor that sidesteps the GIL for
             pure-Python verification).  ``None`` picks the default:
             ``"thread"`` on an unsharded engine, the config's ``executor``
-            on a sharded one.  On a sharded engine the pool runs one task
-            per shard (each covering the whole batch) instead of one task
-            per query slice.  Either way the pool spreads queries (or
-            shards), never one query's candidates: each query verifies its
-            candidates serially in the worker that runs it.
+            on a sharded one.  On a sharded engine each task is one shard
+            covering the whole batch; on an unsharded engine each task is a
+            contiguous run of the batch's queries.  Either way each query
+            verifies its candidates serially in the task that runs it.
 
         Returns
         -------
@@ -1288,102 +1371,20 @@ class Engine:
         """
         _check_sigma(sigma)
         queries = list(queries)
-        if self.is_sharded:
-            executor_name = executor or self.config.executor
-            start = time.perf_counter()
-            # Serve cache hits up front and scatter only the misses; a
-            # fully-cached batch never touches the shards at all.
-            resolved, keys = self._batch_cache_split(queries, sigma)
-            missing = [
-                position
-                for position, result in enumerate(resolved)
-                if result is None
-            ]
-            if missing:
-                # One topology-level read pin covers the whole scatter;
-                # per-shard work nests under it without re-acquiring.
-                with self.index.epochs.read():
-                    fresh = self._scatter(
-                        [queries[position] for position in missing],
-                        sigma,
-                        executor_name,
-                    )
-                for position, result in zip(missing, fresh):
-                    resolved[position] = result
-                    if keys[position] is not None:
-                        self._result_cache.put(keys[position], result)
-            return BatchSearchResult(
-                sigma=sigma,
-                results=resolved,
-                wall_seconds=time.perf_counter() - start,
-                workers=self.index.num_shards,
-                executor=executor_name,
-            )
-        executor = executor or "thread"
-        if executor not in available_executors():
-            raise EngineConfigError(
-                f"unknown executor {executor!r}; "
-                f"available: {available_executors()}"
-            )
-        pool_size = 0 if executor == "serial" else int(workers or 0)
+        name, size, reported = self._dispatch(executor, workers, len(queries))
         start = time.perf_counter()
-        if pool_size <= 1 or len(queries) <= 1:
-            results = [self.search(query, sigma) for query in queries]
-            return BatchSearchResult(
-                sigma=sigma,
-                results=results,
-                wall_seconds=time.perf_counter() - start,
-                workers=1,
-                executor="sequential",
-            )
-        if executor == "process":
-            # Workers receive a cold pickled engine (no result cache), so
-            # hits are served parent-side and only misses ship out.
-            resolved, keys = self._batch_cache_split(queries, sigma)
-            missing = [
-                position
-                for position, result in enumerate(resolved)
-                if result is None
-            ]
-            # One contiguous chunk per worker keeps engine pickling cost at
-            # O(workers) instead of O(queries); the executor layer degrades
-            # to serial where process pools are unavailable.
-            chunk_size = max(1, (len(missing) + pool_size - 1) // pool_size)
-            chunks = [
-                missing[position : position + chunk_size]
-                for position in range(0, len(missing), chunk_size)
-            ]
-            pool = self._executor("process", pool_size)
-            # Hold a read pin while the engine pickles into the workers so
-            # a concurrent writer cannot mutate the index mid-serialization.
-            with self.index.epochs.read():
-                chunk_results = pool.map(
-                    _search_chunk,
-                    [
-                        (self, [queries[i] for i in chunk], sigma)
-                        for chunk in chunks
-                    ],
-                )
-            for chunk, chunk_result in zip(chunks, chunk_results):
-                for position, result in zip(chunk, chunk_result):
-                    resolved[position] = result
-                    if keys[position] is not None:
-                        self._result_cache.put(keys[position], result)
-            results = resolved
+        if len(queries) == 1 and name == self._dispatch(None, None, 1)[0]:
+            # The same call as a search: make it one, so whatever observes
+            # searches (a tracer wrapping ``Engine.search``) sees it.
+            results = [self.search(queries[0], sigma)]
         else:
-            # "thread" and any other registered in-process executor share
-            # the engine directly, one task per query; :meth:`search`
-            # handles the result cache per query.
-            pool = self._executor(executor, pool_size)
-            results = pool.map(
-                lambda query: self.search(query, sigma), queries
-            )
+            results = self._answer(queries, sigma, name, size)
         return BatchSearchResult(
             sigma=sigma,
             results=results,
             wall_seconds=time.perf_counter() - start,
-            workers=pool_size,
-            executor=executor,
+            workers=size,
+            executor=reported,
         )
 
     # ------------------------------------------------------------------

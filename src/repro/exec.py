@@ -1,8 +1,8 @@
 """Executor abstraction: serial / thread / process task execution.
 
-Several layers of the system fan work out over a pool — the sharded engine
-scatter-gathers one search per shard (:mod:`repro.index.sharded`),
-:meth:`repro.engine.Engine.search_many` spreads a batch's queries, and the
+Several layers of the system fan work out over a pool — every engine
+search maps one task per shard, or per run of a batch's queries on an
+unsharded engine (:meth:`repro.engine.Engine.search_many`), and the
 sharded build constructs whole shards in parallel.  This module
 gives all of them one small, registry-backed abstraction so the pool kind is
 a configuration choice (:attr:`repro.engine.EngineConfig.executor`) instead
@@ -30,8 +30,8 @@ of an implementation detail:
 Forked workers inherit the caller's memory as it was when the pool forked,
 so large read-only state need not travel with every task: the caller
 publishes it in a module-level registry *before* the pool forks, and tasks
-carry only the key to look it up.  The sharded engine's scatter works this
-way (:meth:`repro.engine.Engine.search`): each task names its shard by a
+carry only the key to look it up.  Every engine search works this way
+(:meth:`repro.engine.Engine.search`): each task names its shard by a
 publication token and position instead of shipping the shard's index.  The
 state a worker sees is frozen at the fork, so a caller that republishes
 must close any resident pool forked before it and map over a pool started

@@ -30,7 +30,7 @@ def example1_table(sigma: float = 1.9) -> Table:
         database
     )
     index = FragmentIndex(features, measure).build(database)
-    result = PISearch(index, database).search(query, sigma)
+    result = PISearch(database, index=index).search(query, sigma)
 
     table = Table(
         title="Example 1 — query of Figure 2 against the Figure 1 database "

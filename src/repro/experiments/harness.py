@@ -60,11 +60,11 @@ class Environment:
 
     def pis(self, **kwargs) -> PISearch:
         """A PIS engine over this environment (kwargs forwarded)."""
-        return PISearch(self.index, self.database, **kwargs)
+        return PISearch(self.database, index=self.index, **kwargs)
 
     def topo(self) -> TopoPruneSearch:
         """A topoPrune engine over this environment."""
-        return TopoPruneSearch(self.index, self.database)
+        return TopoPruneSearch(self.database, index=self.index)
 
 
 @dataclass
@@ -187,9 +187,9 @@ def collect_query_records(
         num_edges=query_edges,
         count=num_queries or environment.config.queries_per_set,
     )
-    topo = TopoPruneSearch(active_index, environment.database)
+    topo = TopoPruneSearch(environment.database, index=active_index)
     pis = PISearch(
-        active_index, environment.database, cutoff_lambda=cutoff_lambda
+        environment.database, index=active_index, cutoff_lambda=cutoff_lambda
     )
     records: List[QueryRecord] = []
     for position, query in enumerate(queries):

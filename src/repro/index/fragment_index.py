@@ -186,10 +186,9 @@ class FragmentIndex:
         # binding can change: removals (and re-adds of a retired id) clear
         # the cache here, and the verifiers additionally key every entry
         # by the database's per-slot revision, so an id reused for a
-        # different graph can never resurface a stale distance.
-        self._distance_cache = MemoCache(
-            "verify_distance", maxsize=65536, counters=self.counters
-        )
+        # different graph can never resurface a stale distance.  The
+        # verifiers count its lookups, into their own sinks.
+        self._distance_cache = MemoCache("verify_distance", maxsize=65536)
         # The one fragment enumerator over the current class list; it owns
         # the shape memo and is rebuilt lazily after add_feature.
         self._enumerator: Optional[FragmentEnumerator] = None

@@ -311,9 +311,7 @@ class ShardedFragmentIndex:
         self.counters = PerfCounters(mirror=GLOBAL_COUNTERS)
         # Distance cache for strategies built over the *merged* view (the
         # scatter-gather path uses each shard's own cache instead).
-        self._distance_cache = MemoCache(
-            "verify_distance", maxsize=65536, counters=self.counters
-        )
+        self._distance_cache = MemoCache("verify_distance", maxsize=65536)
         # Per-generation merged range results: the range memo of a sharded
         # engine.  The planner's range queries repeat fragments across
         # queries, and planning is the only query-side index work (shard

@@ -175,7 +175,7 @@ class PerfCounters:
         return f"<PerfCounters n={len(self)}>"
 
     # ------------------------------------------------------------------
-    # pickling (process-pool batch search ships engines to workers)
+    # pickling (indexes built in worker processes come back pickled)
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:
         with self._lock:
@@ -386,7 +386,7 @@ class MemoCache:
         )
 
     # ------------------------------------------------------------------
-    # pickling (caches travel with their index into pool workers)
+    # pickling (caches travel with their index out of build workers)
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:
         with self._lock:

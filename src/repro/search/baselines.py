@@ -47,8 +47,7 @@ class TopoPruneSearch(SearchStrategy):
     """Feature-based structure pruning (gIndex-style), then verification.
 
     The candidate set is independent of ``sigma``: only containment of the
-    query's indexed structures matters.  The legacy positional calling
-    convention ``TopoPruneSearch(index, database)`` is still accepted.
+    query's indexed structures matters.
     """
 
     name = "topoPrune"
@@ -62,10 +61,6 @@ class TopoPruneSearch(SearchStrategy):
         verifier: str = AUTO_VERIFIER,
         verify_kernel: str = "auto",
     ):
-        if isinstance(database, FragmentIndex):
-            # Legacy calling convention: TopoPruneSearch(index, database).
-            database, index = measure, database
-            measure = None
         if index is None:
             raise IndexNotBuiltError(
                 "TopoPruneSearch requires a built fragment index"

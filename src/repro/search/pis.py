@@ -72,8 +72,7 @@ class PISearch(SearchStrategy):
         semantics.  Accepted so every strategy shares the registry shape
         ``(database, measure, index=None)``.
     index:
-        A built fragment index (required).  The legacy positional calling
-        convention ``PISearch(index, database)`` is still accepted.
+        A built fragment index (required).
     epsilon:
         Selectivity floor; fragments with ``w(g) <= epsilon`` are dropped
         before the partition is selected (Algorithm 2, line 5).
@@ -106,19 +105,6 @@ class PISearch(SearchStrategy):
         verifier: str = AUTO_VERIFIER,
         verify_kernel: str = "auto",
     ):
-        if isinstance(database, FragmentIndex):
-            # Legacy calling convention: PISearch(index, database).  A third
-            # positional meant epsilon in the old signature but would land in
-            # (and be discarded from) the index slot here — reject it loudly
-            # rather than silently changing pruning behaviour.
-            if index is not None:
-                raise TypeError(
-                    "the legacy PISearch(index, database, ...) convention "
-                    "accepts further parameters as keywords only "
-                    "(e.g. epsilon=...)"
-                )
-            database, index = measure, database
-            measure = None
         if index is None:
             raise IndexNotBuiltError("PISearch requires a built fragment index")
         check_partition_params(partition_method, partition_k)
@@ -134,7 +120,9 @@ class PISearch(SearchStrategy):
         self.partition_method = partition_method
         self.partition_k = partition_k
         self._planner: Optional[GlobalPlanner] = None
-        self._live_ids_memo: Optional[Tuple[int, FrozenSet[int]]] = None
+        # A one-slot box, so the copies tasks run (see
+        # :meth:`SearchStrategy.with_counters`) fill one shared memo.
+        self._live_ids_memo: List[Optional[Tuple[int, FrozenSet[int]]]] = [None]
 
     # ------------------------------------------------------------------
     # planning (the plan half of the plan/execute split)
@@ -267,11 +255,11 @@ class PISearch(SearchStrategy):
         memo, so a stale id can never pass the restriction.
         """
         generation = self.index.generation
-        memo = self._live_ids_memo
+        memo = self._live_ids_memo[0]
         if memo is not None and memo[0] == generation:
             return memo[1]
         live = frozenset(self.index.live_graph_ids())
-        self._live_ids_memo = (generation, live)
+        self._live_ids_memo[0] = (generation, live)
         return live
 
     # ------------------------------------------------------------------

@@ -89,8 +89,9 @@ class SearchResult:
         Performance counter deltas attributable to this query (cache
         hits/misses, range-query calls, verification work); populated by
         strategies that share a :class:`~repro.perf.PerfCounters` sink.
-        Deltas from concurrently executing queries may interleave when a
-        batch runs in a thread pool.
+        An engine search adds its coordinator planning.  Each engine task
+        counts into a private sink, so a batch's concurrent tasks never
+        mix; planning from concurrent calls on one engine still may.
 
     from_cache:
         ``True`` when this result was served from the engine's

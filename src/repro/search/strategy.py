@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -100,6 +101,20 @@ class SearchStrategy:
             else PerfCounters(mirror=GLOBAL_COUNTERS)
         )
         self._verifiers: Dict[str, Verifier] = {}
+
+    def with_counters(self, counters: PerfCounters) -> "SearchStrategy":
+        """A shallow copy of this strategy that reports into ``counters``.
+
+        The copy shares the database, the index and its caches; only the
+        counter sink and the verifiers (built lazily over it) are its own.
+        Concurrent tasks over one strategy each run such a copy, with a
+        sink that mirrors into the original's, so every task's per-query
+        counter deltas hold its own work only.
+        """
+        clone = copy.copy(self)
+        clone.counters = counters
+        clone._verifiers = {}
+        return clone
 
     # ------------------------------------------------------------------
     # filtering
@@ -237,8 +252,8 @@ class SearchStrategy:
             Distance threshold of the SSSD query.
         plan:
             An externally computed :class:`~repro.search.planner.QueryPlan`
-            to execute (the scatter path plans once on the driver and ships
-            the plan to every shard).  ``None`` asks the strategy to plan
+            to execute (the engine plans once on the coordinator and ships
+            the plan to every task).  ``None`` asks the strategy to plan
             for itself via :meth:`plan_query`; strategies that do not plan
             run their :meth:`_filter` path.
 

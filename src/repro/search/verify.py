@@ -315,9 +315,7 @@ class BoundedVerifier(Verifier):
             # No index-shared cache (e.g. an index-free baseline strategy):
             # own a private one so repeated queries still benefit.
             self.distance_cache = MemoCache(
-                "verify_distance",
-                maxsize=PRIVATE_DISTANCE_CACHE_SIZE,
-                counters=self.counters,
+                "verify_distance", maxsize=PRIVATE_DISTANCE_CACHE_SIZE
             )
         #: candidate ids in the order the last :meth:`verify` decided them
         self.last_order: List[int] = []
@@ -406,6 +404,10 @@ class BoundedVerifier(Verifier):
         case, which is also accounted here).
         """
         entry = self.distance_cache.get(cache_key)
+        # The verifier, not the shared cache, counts its lookups: they then
+        # land in this verifier's sink, whichever task it serves.
+        outcome = "misses" if entry is MemoCache.MISS else "hits"
+        self.counters.increment(f"{self.distance_cache.name}.cache_{outcome}")
         if entry is MemoCache.MISS:
             return None
         distance, threshold = entry

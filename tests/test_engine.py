@@ -1,6 +1,8 @@
 """Tests of the :mod:`repro.engine` facade, config, and registries."""
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -164,30 +166,6 @@ class TestRegistries:
 class TestStrategySignatures:
     """Every strategy is instantiable with (database, measure, index=None)."""
 
-    def test_legacy_and_unified_pis_agree(self, database, queries):
-        measure = default_edge_mutation_distance()
-        features = ExhaustiveFeatureSelector(**SELECTOR_PARAMS).select(database)
-        index = FragmentIndex(features, measure).build(database)
-        legacy = PISearch(index, database)
-        unified = PISearch(database, index=index)
-        for query in queries:
-            assert (
-                legacy.search(query, 1).answer_ids
-                == unified.search(query, 1).answer_ids
-            )
-
-    def test_topo_prune_legacy_shim(self, small_index, small_database):
-        legacy = TopoPruneSearch(small_index, small_database)
-        unified = TopoPruneSearch(small_database, index=small_index)
-        assert legacy.index is unified.index is small_index
-
-    def test_legacy_extra_positionals_rejected(self, small_index, small_database):
-        # In the old signature PISearch(index, db, 0.5) meant epsilon=0.5;
-        # silently dropping it would change pruning behaviour.
-        with pytest.raises(TypeError):
-            PISearch(small_index, small_database, 0.5)
-        assert PISearch(small_index, small_database, epsilon=0.5).epsilon == 0.5
-
     def test_missing_index_raises(self, small_database, edge_measure):
         with pytest.raises(IndexNotBuiltError):
             PISearch(small_database, edge_measure)
@@ -205,7 +183,7 @@ class TestEngineBuildAndSearch:
         measure = default_edge_mutation_distance()
         features = ExhaustiveFeatureSelector(**SELECTOR_PARAMS).select(database)
         index = FragmentIndex(features, measure).build(database)
-        manual = PISearch(index, database)
+        manual = PISearch(database, index=index)
         for query in queries:
             from_engine = engine.search(query, 1)
             from_manual = manual.search(query, 1)
@@ -250,7 +228,7 @@ class TestEngineBuildAndSearch:
         # default selector built this index.
         assert engine.config.selector == "prebuilt"
         assert engine.search(queries[0], 1).answer_ids == PISearch(
-            index, database
+            database, index=index
         ).search(queries[0], 1).answer_ids
 
     def test_stats_summarises_components(self, engine, database):
@@ -292,6 +270,32 @@ class TestBatchSearch:
     def test_invalid_executor_rejected(self, engine, queries):
         with pytest.raises(EngineConfigError):
             engine.search_many(queries, 1, workers=2, executor="fibers")
+
+    def test_writer_waits_for_one_query_of_a_serial_batch(self, monkeypatch):
+        """A serial batch (every ``pis serve`` batch) pins the index per
+        query: a writer that arrives during the first query is applied
+        before the second one runs, not after the whole batch."""
+        mutable = Engine.build(generate_chemical_database(16, seed=11), CONFIG)
+        queries = QueryWorkload(mutable.database, seed=5).sample_queries(4, 3)
+        written = threading.Event()
+        seen = []
+        search = PISearch.search
+
+        def hooked(strategy, *args, **kwargs):
+            if not seen:
+                threading.Thread(
+                    target=lambda: (mutable.remove_graphs([0]), written.set())
+                ).start()
+                time.sleep(0.1)  # the writer parks behind this query's pin
+                seen.append(written.is_set())
+            else:
+                seen.append(written.wait(5))
+            return search(strategy, *args, **kwargs)
+
+        monkeypatch.setattr(PISearch, "search", hooked)
+        batch = mutable.search_many(queries, 1)
+        assert seen == [False, True, True]
+        assert all(0 not in result.candidate_ids for result in batch.results[1:])
 
 
 class TestEnginePersistence:

@@ -11,7 +11,7 @@ read the shards from the memory they inherited at fork.  Covered here:
   only then;
 * a task whose token or generation is not the published one raises
   :class:`~repro.core.errors.StaleShardStateError`;
-* scatter items carry no index, database or view;
+* scatter items carry no engine, index, database or view, sharded or not;
 * a worker forked while another thread holds a counter or cache lock
   still runs (``repro.perf`` renews the locks in the child);
 * a worker killed mid-scatter costs a counted fallback, not an answer, and
@@ -289,6 +289,7 @@ class _ShardFlagger(pickle.Pickler):
     """Pickles normally; records every shard-sized object it meets."""
 
     SHARD_TYPES = (
+        Engine,
         FragmentIndex,
         ShardedFragmentIndex,
         GraphDatabase,
@@ -317,18 +318,21 @@ def test_scatter_items_carry_no_shard(database, queries, monkeypatch):
         return original(self, task, items, sink)
 
     monkeypatch.setattr(ProcessExecutor, "map_counted", recording)
-    engine = build(database, 4)
-    engine.search_many(queries, 1.0)
-    engine.search(queries[0], 2.0)
-    assert len(shipped) == 2
+    sharded = build(database, 4)
+    sharded.search_many(queries, 1.0)
+    sharded.search(queries[0], 2.0)
+    # one shard: each worker takes a contiguous run of the batch
+    unsharded = build(database, 1)
+    unsharded.search_many(queries, 1.0, workers=2, executor="process")
+    assert [len(items) for _, items in shipped] == [4, 4, 2]
     for task, items in shipped:
         assert task is _shard_task
-        assert len(items) == 4
         for item in items:
             flagger = _ShardFlagger(io.BytesIO())
             flagger.dump((task, item))
             assert flagger.flagged == []
-    assert engine.index.counters.get("exec.process_fallbacks") == 0
+    for engine in (sharded, unsharded):
+        assert engine.index.counters.get("exec.process_fallbacks") == 0
 
 
 # ----------------------------------------------------------------------

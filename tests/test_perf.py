@@ -305,8 +305,8 @@ class TestCounterSurfacing:
         assert profile["index"]["num_classes"] == small_engine.index.num_classes
 
     def test_engine_pickles_with_counters_and_caches(self, small_engine, small_db):
-        # The process executor of search_many ships the whole engine
-        # (counters, memo caches and all) into pool workers.
+        # A pickled engine (counters, memo caches and all) answers like
+        # the original.
         import pickle
 
         query = QueryWorkload(small_db, seed=15).sample_queries(8, 1)[0]

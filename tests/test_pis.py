@@ -59,8 +59,8 @@ class TestPISAgainstBaselines:
         query = sample_query(rng, database, num_edges=5, mutations=1)
         sigma = rng.choice([0, 1, 2])
 
-        pis = PISearch(index, database)
-        topo = TopoPruneSearch(index, database)
+        pis = PISearch(database, index=index)
+        topo = TopoPruneSearch(database, index=index)
         exact_topo = ExactTopoPruneSearch(database, measure)
         naive = NaiveSearch(database, measure)
 
@@ -87,7 +87,7 @@ class TestPISAgainstBaselines:
     def test_filter_outcome_reporting(self):
         rng, database, measure, index = build_small_setup(99)
         query = sample_query(rng, database, num_edges=6, mutations=0)
-        pis = PISearch(index, database)
+        pis = PISearch(database, index=index)
         outcome = pis.filter_candidates(query, sigma=1)
         report = outcome.report
         assert report.num_database_graphs == len(database)
@@ -103,8 +103,8 @@ class TestPISAgainstBaselines:
     def test_epsilon_drops_unselective_fragments(self):
         rng, database, measure, index = build_small_setup(5)
         query = sample_query(rng, database, num_edges=5, mutations=0)
-        permissive = PISearch(index, database, epsilon=0.0)
-        strict = PISearch(index, database, epsilon=10.0)
+        permissive = PISearch(database, index=index, epsilon=0.0)
+        strict = PISearch(database, index=index, epsilon=10.0)
         outcome_permissive = permissive.filter_candidates(query, sigma=1)
         outcome_strict = strict.filter_candidates(query, sigma=1)
         assert outcome_strict.report.num_fragments_after_epsilon == 0
@@ -125,7 +125,7 @@ class TestPISAgainstBaselines:
             NaiveSearch(database, measure).search(query, 1).answer_ids
         )
         for method in ("greedy", "enhanced-greedy"):
-            pis = PISearch(index, database, partition_method=method)
+            pis = PISearch(database, index=index, partition_method=method)
             result = pis.search(query, 1)
             assert set(result.answer_ids) == naive_answers
 
@@ -140,7 +140,7 @@ class TestPISAgainstBaselines:
         measure = default_edge_mutation_distance()
         index = FragmentIndex([cycle_structure(3)], measure).build(database)
         query = sample_connected_subgraph(database[0], 3, rng)
-        pis = PISearch(index, database)
+        pis = PISearch(database, index=index)
         # tree query contains no triangle: the filter cannot prune anything
         assert pis.candidates(query, 1) == list(database.graph_ids())
 
@@ -148,14 +148,14 @@ class TestPISAgainstBaselines:
         rng, database, measure, index = build_small_setup(21)
         source = database[0]
         query = sample_connected_subgraph(source, 5, rng)
-        pis_result = PISearch(index, database).search(query, 0)
+        pis_result = PISearch(database, index=index).search(query, 0)
         assert 0 in pis_result.answer_ids
         assert pis_result.answer_distances[0] == 0.0
 
     def test_monotone_in_sigma(self):
         rng, database, measure, index = build_small_setup(8)
         query = sample_query(rng, database, num_edges=6, mutations=1)
-        pis = PISearch(index, database)
+        pis = PISearch(database, index=index)
         previous_answers = set()
         previous_candidates = set()
         for sigma in (0, 1, 2, 3):
@@ -175,7 +175,7 @@ class TestNoFalseDismissalProperty:
                              mutations=rng.randint(0, 2))
         sigma = rng.choice([0, 1, 2])
         truth = set(NaiveSearch(database, measure).search(query, sigma).answer_ids)
-        pis = PISearch(index, database, cutoff_lambda=rng.choice([0.5, 1.0, 2.0]))
+        pis = PISearch(database, index=index, cutoff_lambda=rng.choice([0.5, 1.0, 2.0]))
         candidates = set(pis.candidates(query, sigma))
         assert truth <= candidates
         assert set(pis.search(query, sigma).answer_ids) == truth

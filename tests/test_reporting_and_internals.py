@@ -86,9 +86,9 @@ class TestGIndexEndToEnd:
         assert features
         index = FragmentIndex(features, measure).build(database)
         query = QueryWorkload(database, seed=6).sample_queries(8, 1)[0]
-        pis_result = PISearch(index, database).search(query, 1)
+        pis_result = PISearch(database, index=index).search(query, 1)
         naive_result = NaiveSearch(database, measure).search(query, 1)
-        topo_result = TopoPruneSearch(index, database).search(query, 1)
+        topo_result = TopoPruneSearch(database, index=index).search(query, 1)
         assert set(pis_result.answer_ids) == set(naive_result.answer_ids)
         assert set(pis_result.candidate_ids) <= set(topo_result.candidate_ids)
 
@@ -100,7 +100,7 @@ class TestExample1EndToEnd:
         database = example_database()
         features = PathFeatureSelector(max_path_edges=3).select(database)
         index = FragmentIndex(features, edge_measure).build(database)
-        result = PISearch(index, database).search(figure2_query(), 1.9)
+        result = PISearch(database, index=index).search(figure2_query(), 1.9)
         assert sorted(result.answer_ids) == [0, 2]
         # the omephine stand-in is pruned or rejected, never answered
         assert 1 not in result.answer_ids

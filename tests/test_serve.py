@@ -202,7 +202,7 @@ def test_started_engine_reuses_executors(serve_database, serve_queries, monkeypa
         # One resident pool serves every scatter; without start() each
         # search would construct its own executor.
         assert calls == ["thread"]
-        pool = engine._resident_executors[("thread", 2, True)]
+        pool = engine._resident_executors[("thread", 2)]
         assert pool.started
     assert not pool.started  # close() shuts the resident pool down
 

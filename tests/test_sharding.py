@@ -444,6 +444,67 @@ class TestCounterMerging:
         after = sharded.profile()["counters"].get("verify.candidates", 0.0)
         assert after == pytest.approx(before + verified)
 
+    def test_results_carry_coordinator_planning(self, database, queries):
+        """With cold memos, a 2-shard result counts the planning work the
+        unsharded engine's result counts for the same query."""
+        planning = (
+            "plan.calls",
+            "plan.range_queries",
+            "enumerate_query_fragments.calls",
+            "query_fragments.enumerated",
+        )
+        for query in queries:
+            plain, sharded = (
+                Engine.build(copy.deepcopy(database), EngineConfig(**CONFIG), shards=shards)
+                for shards in (1, 2)
+            )
+            expected = plain.search(query, 2.0)
+            result = sharded.search(query, 2.0)
+            assert expected.counters.get("plan.range_queries", 0.0) > 0
+            for name in planning:
+                assert result.counters.get(name) == expected.counters.get(name), name
+            assert result.prune_seconds >= result.counters["plan.seconds"]
+
+    def test_process_workers_plan_unsharded_runs(self, database, queries):
+        """An unsharded process batch plans in its workers; each result
+        still carries its own planning, as a serial batch's does."""
+        planning = ("plan.calls", "plan.range_queries", "enumerate_query_fragments.calls")
+        serial, forked = (
+            Engine.build(copy.deepcopy(database), EngineConfig(**CONFIG)).search_many(
+                queries, 2.0, workers=2, executor=executor
+            )
+            for executor in ("serial", "process")
+        )
+        for expected, result in zip(serial, forked):
+            assert result.answer_ids == expected.answer_ids
+            assert result.candidate_ids == expected.candidate_ids
+            assert result.report == expected.report
+            for name in planning:
+                assert result.counters.get(name) == expected.counters.get(name), name
+            assert result.counters.get("plan.calls") == 1.0
+            assert result.prune_seconds >= result.counters["plan.seconds"]
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_per_query_counters_are_exact(self, database, queries, shards, executor):
+        """Per-result counters hold each query's own work, whichever
+        executor ran it: their sums equal the engine profile's deltas, and
+        the verified candidates the batch's candidate count."""
+        engine = Engine.build(
+            copy.deepcopy(database), EngineConfig(**CONFIG), shards=shards
+        )
+        names = ("verify.candidates", "plan.calls", "plan.range_queries")
+        before = engine.profile()["counters"]
+        batch = engine.search_many(queries, 2.0, workers=2, executor=executor)
+        after = engine.profile()["counters"]
+        for name in names:
+            summed = sum(result.counters.get(name, 0.0) for result in batch)
+            assert summed == after.get(name, 0.0) - before.get(name, 0.0), name
+        summed = sum(result.counters.get("verify.candidates", 0.0) for result in batch)
+        assert summed == float(batch.total_candidates)
+        assert summed > 0
+        assert engine.index.counters.get("exec.process_fallbacks") == 0
+
     def test_merge_search_results_rejects_empty(self):
         with pytest.raises(EngineConfigError):
             merge_search_results([], num_database_graphs=0, num_shards=4)

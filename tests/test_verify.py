@@ -11,6 +11,7 @@ from repro.core.superimposed import best_superposition
 from repro.engine import Engine, EngineConfig
 from repro.perf import MemoCache
 from repro.search import BoundedVerifier, LegacyVerifier, NaiveSearch, PISearch
+from repro.search.strategy import SearchStrategy
 from repro.search.verify import (
     AUTO_VERIFIER,
     DEFAULT_VERIFIER,
@@ -301,14 +302,28 @@ class TestEngineWiring:
         )
         return Engine.build(small_database, config)
 
-    def test_engine_verifies_with_bounded_array_kernel(self, engine, query):
+    def test_engine_verifies_with_bounded_array_kernel(
+        self, engine, query, monkeypatch
+    ):
         """The engine verifies one way: the bounded verifier over the array
-        kernel, sharing the index's distance cache."""
-        verifier = engine.strategy.get_verifier()
-        assert type(verifier) is BoundedVerifier
-        assert verifier.use_kernel is True
-        assert verifier.distance_cache is engine.index.distance_cache
+        kernel, sharing the index's distance cache.  The verifiers checked
+        are the ones ``engine.search`` verifies with — each search task
+        builds its own, over the task's private counter sink."""
+        used = []
+        get_verifier = SearchStrategy.get_verifier
+
+        def recording(strategy, *args, **kwargs):
+            verifier = get_verifier(strategy, *args, **kwargs)
+            used.append(verifier)
+            return verifier
+
+        monkeypatch.setattr(SearchStrategy, "get_verifier", recording)
         result = engine.search(query, 1.0)
+        assert used
+        for verifier in used:
+            assert type(verifier) is BoundedVerifier
+            assert verifier.use_kernel is True
+            assert verifier.distance_cache is engine.index.distance_cache
         assert (result.answer_ids, result.answer_distances) == legacy_truth(
             engine.database, engine.measure, query, 1.0
         )

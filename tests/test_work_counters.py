@@ -85,7 +85,7 @@ def test_cold_filter_work_is_exact(
     queries = workload_queries(environment, query_edges)
     environment.index.clear_caches()
     structure_code_cache().clear()
-    pis = PISearch(environment.index, environment.database)
+    pis = PISearch(environment.database, index=environment.index)
 
     before = GLOBAL_COUNTERS.snapshot()
     for _ in range(rounds):
