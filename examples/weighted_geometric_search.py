@@ -51,7 +51,7 @@ def main():
     queries = QueryWorkload(database, seed=8).sample_queries(num_edges=7, count=4)
 
     # the exact answer: every graph verified with the reference search
-    naive = NaiveSearch(database, measure, verifier="legacy", verify_kernel="legacy")
+    naive = NaiveSearch(database, measure)
 
     for position, query in enumerate(queries):
         started = time.perf_counter()

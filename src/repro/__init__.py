@@ -120,12 +120,10 @@ from .mining import (
 from .search import (
     BoundedVerifier,
     ExactTopoPruneSearch,
-    LegacyVerifier,
     NaiveSearch,
     PISearch,
     SearchResult,
     TopoPruneSearch,
-    Verifier,
     available_strategies,
     enhanced_greedy_mwis,
     exact_mwis,
@@ -207,8 +205,6 @@ __all__ = [
     "TopoPruneSearch",
     "ExactTopoPruneSearch",
     "SearchResult",
-    "Verifier",
-    "LegacyVerifier",
     "BoundedVerifier",
     "greedy_mwis",
     "enhanced_greedy_mwis",

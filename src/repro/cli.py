@@ -15,8 +15,8 @@ Subcommands
     Answer SSSD queries against a database + index (or saved engine),
     comparing PIS with the baselines; ``--workers`` batches the queries
     over a worker pool, and ``--compare-naive`` checks every answer and
-    distance against the oracle (the naive scan with the reference
-    verifier and the recursive reference kernel).
+    distance against the oracle (the naive scan over the recursive
+    reference search).
 ``explain``
     Search sampled queries without mutating anything and print each
     query's plan — chosen partition, per-fragment selectivities, and
@@ -189,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--compare-naive",
         action="store_true",
-        help="also run the oracle — the naive scan with the reference "
-        "verifier and kernel (slow) — and check answers and distances",
+        help="also run the oracle — the naive scan over the reference "
+        "search (slow) — and check answers and distances",
     )
 
     explain = subparsers.add_parser(
@@ -532,12 +532,10 @@ def _command_query(arguments: argparse.Namespace) -> int:
         executor=arguments.executor,
     )
     topo = engine.make_strategy("topoPrune")
-    # The oracle verifies on its own path — the reference verifier over the
-    # recursive search — so a fault in the engine's kernel shows up here.
+    # The oracle verifies on its own path — the recursive reference search,
+    # no bounds or caches — so a fault in the engine's kernel shows up here.
     naive = (
-        NaiveSearch(
-            engine.database, engine.measure, verifier="legacy", verify_kernel="legacy"
-        )
+        NaiveSearch(engine.database, engine.measure)
         if arguments.compare_naive
         else None
     )

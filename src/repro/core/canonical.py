@@ -81,17 +81,6 @@ def _edge_label(
     return graph.edge_label(u, v) if use_labels else DEFAULT_LABEL
 
 
-def _extension_sort_key(entry: Tuple[Tuple, DFSEdge]) -> Tuple:
-    """Sort key implementing the gSpan DFS-code extension order.
-
-    Backward extensions precede forward extensions; among backward
-    extensions smaller destination index wins; among forward extensions the
-    one growing from the deeper rightmost-path vertex wins; label components
-    break remaining ties.
-    """
-    return entry[0]
-
-
 def _min_code_connected(
     graph: LabeledGraph, use_vertex_labels: bool, use_edge_labels: bool
 ) -> Tuple[CanonicalCode, List[Hashable]]:

@@ -1,9 +1,9 @@
 """Array-encoded branch-and-bound kernel for minimum superimposed distance.
 
 This module is the optimized backend of :func:`repro.core.superimposed.
-best_superposition`.  It reproduces the legacy recursive search *exactly* —
-same distances (bit-for-bit), same accept/reject decisions — while being
-dramatically faster on cold caches:
+best_superposition`.  It reproduces the recursive reference search
+*exactly* — same distances (bit-for-bit), same accept/reject decisions —
+while being dramatically faster on cold caches:
 
 * **Array encoding** (:class:`GraphArrays`): vertices become dense integer
   rows; adjacency becomes a CSR structure plus a dense ``edge_id`` matrix so

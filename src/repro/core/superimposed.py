@@ -88,9 +88,13 @@ def best_superposition(
     threshold: Optional[float] = None,
     stop_at_threshold: bool = False,
     known_lower_bound: Optional[float] = None,
-    use_kernel: bool = True,
 ) -> SuperpositionResult:
     """Find the superposition of ``query`` in ``target`` with minimum cost.
+
+    Runs the array kernel of :mod:`repro.core.kernel` where it can run and
+    the recursive reference search where it cannot (a target above
+    :data:`~repro.core.kernel.MAX_KERNEL_VERTICES`, or a measure without
+    cost tables).  The two return byte-identical distances.
 
     Parameters
     ----------
@@ -115,12 +119,6 @@ def best_superposition(
         superposition is provably minimal and the returned distance is still
         exact.  Passing a value that is *not* a true lower bound can make
         the result an upper bound instead of the minimum.
-    use_kernel:
-        ``True`` (default) runs the array kernel of
-        :mod:`repro.core.kernel`; ``False`` runs the recursive reference
-        search, the verification oracle.  The kernel is byte-identical in
-        distances; when it cannot run (oversized target, measure without
-        cost tables) the recursive path is used regardless.
 
     Returns
     -------
@@ -129,15 +127,9 @@ def best_superposition(
         complete superpositions explored, and whether the search exited
         early.
     """
-    if query.num_vertices == 0:
-        return SuperpositionResult(distance=0.0, embedding=Embedding({}), explored=1)
-    if (
-        query.num_vertices > target.num_vertices
-        or query.num_edges > target.num_edges
+    if 0 < query.num_vertices <= target.num_vertices and (
+        query.num_edges <= target.num_edges
     ):
-        return SuperpositionResult(distance=INFINITE_DISTANCE, embedding=None)
-
-    if use_kernel:
         from . import kernel as _kernel  # lazy: kernel imports our result type
 
         result = _kernel.kernel_best_superposition(
@@ -150,6 +142,37 @@ def best_superposition(
         )
         if result is not None:
             return result
+    return _reference_best_superposition(
+        query,
+        target,
+        measure,
+        threshold=threshold,
+        stop_at_threshold=stop_at_threshold,
+        known_lower_bound=known_lower_bound,
+    )
+
+
+def _reference_best_superposition(
+    query: LabeledGraph,
+    target: LabeledGraph,
+    measure: DistanceMeasure,
+    threshold: Optional[float] = None,
+    stop_at_threshold: bool = False,
+    known_lower_bound: Optional[float] = None,
+) -> SuperpositionResult:
+    """The recursive reference search behind :func:`best_superposition`.
+
+    Same parameters and result.  It is the fallback where the kernel cannot
+    run and the search :class:`~repro.search.NaiveSearch`, the correctness
+    oracle, verifies with.
+    """
+    if query.num_vertices == 0:
+        return SuperpositionResult(distance=0.0, embedding=Embedding({}), explored=1)
+    if (
+        query.num_vertices > target.num_vertices
+        or query.num_edges > target.num_edges
+    ):
+        return SuperpositionResult(distance=INFINITE_DISTANCE, embedding=None)
 
     order = _match_order(query)
     position_of = {v: i for i, v in enumerate(order)}
@@ -271,16 +294,13 @@ def minimum_superimposed_distance(
     target: LabeledGraph,
     measure: DistanceMeasure,
     threshold: Optional[float] = None,
-    use_kernel: bool = True,
 ) -> float:
     """Return ``d(query, target)`` under ``measure`` (Definition 1).
 
     When ``threshold`` is given the result is exact if it does not exceed
     the threshold; otherwise ``inf`` is returned (sufficient for SSSD).
     """
-    return best_superposition(
-        query, target, measure, threshold=threshold, use_kernel=use_kernel
-    ).distance
+    return best_superposition(query, target, measure, threshold=threshold).distance
 
 
 def within_distance(
@@ -288,16 +308,10 @@ def within_distance(
     target: LabeledGraph,
     measure: DistanceMeasure,
     sigma: float,
-    use_kernel: bool = True,
 ) -> bool:
     """Return ``True`` if ``d(query, target) <= sigma`` (verification test)."""
     result = best_superposition(
-        query,
-        target,
-        measure,
-        threshold=sigma,
-        stop_at_threshold=True,
-        use_kernel=use_kernel,
+        query, target, measure, threshold=sigma, stop_at_threshold=True
     )
     return result.distance <= sigma
 
@@ -306,7 +320,6 @@ def graph_pair_distance(
     a: LabeledGraph,
     b: LabeledGraph,
     measure: DistanceMeasure,
-    use_kernel: bool = True,
 ) -> float:
     """Distance between two graphs with identical structure, ``d(a, b)``.
 
@@ -316,4 +329,4 @@ def graph_pair_distance(
     """
     if a.num_vertices != b.num_vertices or a.num_edges != b.num_edges:
         return INFINITE_DISTANCE
-    return best_superposition(a, b, measure, use_kernel=use_kernel).distance
+    return best_superposition(a, b, measure).distance

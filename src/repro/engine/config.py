@@ -40,8 +40,8 @@ _RETIRED_KEYS = (
 )
 
 #: ``strategy_params`` keys that :meth:`EngineConfig.from_dict` drops and
-#: the constructor refuses: they selected the reference verifier and
-#: kernel, which only the NaiveSearch oracle uses
+#: the constructor refuses: they selected a strategy's verifier and
+#: kernel, which no strategy selects any more
 _RETIRED_STRATEGY_PARAMS = ("verifier", "verify_kernel")
 
 

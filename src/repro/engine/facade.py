@@ -711,14 +711,13 @@ class Engine:
         """Build any registered strategy over this engine's database/index.
 
         ``params`` go to the strategy's constructor unchanged.  Strategies
-        built here verify like the engine does (the bounded verifier and
-        the array kernel, sharing the index's distance cache) unless
-        ``params`` say otherwise:
-        ``make_strategy("naive", verifier="legacy", verify_kernel="legacy")``
-        builds the oracle over this engine's database.
+        built here verify like the engine does (the bounded verifier over
+        the array kernel), except ``make_strategy("naive")``, which is the
+        oracle: it verifies every live graph with the reference search.
         On a sharded engine the strategy is built over the *merged* index
         view — it answers over the whole database, exactly like a strategy
-        over an unsharded index.
+        over an unsharded index — and its verifier owns a private distance
+        cache (the engine's shard tasks use each shard's cache).
         """
         return make_strategy(
             name, self.database, measure=self.measure, index=self.index, **params

@@ -20,7 +20,7 @@ instances:
 * **the existing index interface** — the sharded index presents the full
   :class:`FragmentIndex` read interface (query-fragment enumeration, merged
   range queries, merged per-class views, statistics) so PISearch, the
-  baselines, and the verifiers also work over it unchanged, while mutation
+  baselines, and the verifier also work over it unchanged, while mutation
   calls (:meth:`add_graph` / :meth:`remove_graph`) route to the owning
   shard and keep every other shard's id space aligned.
 
@@ -309,9 +309,6 @@ class ShardedFragmentIndex:
         # with the multi-shard retirement protocol below.
         self.epochs = EpochManager()
         self.counters = PerfCounters(mirror=GLOBAL_COUNTERS)
-        # Distance cache for strategies built over the *merged* view (the
-        # scatter-gather path uses each shard's own cache instead).
-        self._distance_cache = MemoCache("verify_distance", maxsize=65536)
         # Per-generation merged range results: the range memo of a sharded
         # engine.  The planner's range queries repeat fragments across
         # queries, and planning is the only query-side index work (shard
@@ -505,24 +502,15 @@ class ShardedFragmentIndex:
     # ------------------------------------------------------------------
     # caches / counters
     # ------------------------------------------------------------------
-    @property
-    def distance_cache(self) -> MemoCache:
-        """Distance cache for strategies built over the merged view."""
-        return self._distance_cache
-
     def clear_caches(self) -> None:
-        """Drop the merged-view caches and every shard's memo caches."""
-        self._distance_cache.clear()
+        """Drop the merged range memo and every shard's memo caches."""
         self._range_cache.clear()
         for shard in self.shards:
             shard.clear_caches()
 
     def cache_stats(self) -> List[Dict[str, Any]]:
-        """Accounting of the merged-view caches plus every shard's caches."""
-        stats = [
-            self._distance_cache.stats(),
-            self._range_cache.stats(),
-        ]
+        """Accounting of the merged range memo plus every shard's caches."""
+        stats = [self._range_cache.stats()]
         for shard in self.shards:
             stats.extend(shard.cache_stats())
         return stats
@@ -550,7 +538,6 @@ class ShardedFragmentIndex:
             for position, shard in enumerate(self.shards):
                 if position != owner_position:
                     shard.mark_retired(graph_id)
-            self._distance_cache.clear()
         return total
 
     def add_graph(self, graph_id: int, graph: LabeledGraph) -> int:
@@ -576,7 +563,6 @@ class ShardedFragmentIndex:
             raise IndexError_(f"graph id {graph_id!r} is not a live indexed graph")
         with self.epochs.write():
             removed = self.shards[owner].remove_graph(graph_id)
-            self._distance_cache.clear()
         return removed
 
     def remove_graphs(self, graph_ids: Iterable[int]) -> int:

@@ -17,7 +17,7 @@ from .registry import available_strategies, make_strategy, register_strategy
 from .results import PruningReport, SearchResult
 from .selectivity import FragmentSelectivity, SelectivityEstimator
 from .strategy import SearchStrategy
-from .verify import BoundedVerifier, LegacyVerifier, Verifier
+from .verify import BoundedVerifier
 
 __all__ = [
     "SearchStrategy",
@@ -44,7 +44,5 @@ __all__ = [
     "register_strategy",
     "make_strategy",
     "available_strategies",
-    "Verifier",
-    "LegacyVerifier",
     "BoundedVerifier",
 ]

@@ -37,7 +37,6 @@ from .partition import PartitionResult, check_partition_params
 from .planner import GlobalPlanner, QueryPlan
 from .results import PruningReport
 from .strategy import SearchStrategy
-from .verify import AUTO_VERIFIER
 
 __all__ = ["PISearch", "FilterOutcome"]
 
@@ -82,12 +81,6 @@ class PISearch(SearchStrategy):
         MWIS solver used for the partition ("greedy", "enhanced-greedy",
         "exact") and its ``k`` parameter (an int >= 1).  Anything else
         raises :class:`~repro.core.errors.EngineConfigError` here.
-    verifier:
-        Name of the candidate verifier (``"auto"`` resolves to the bounded
-        verifier; see :class:`SearchStrategy`).
-    verify_kernel:
-        Superposition search kernel for verification (``"auto"``,
-        ``"array"`` or ``"legacy"``; see :class:`SearchStrategy`).
     """
 
     name = "pis"
@@ -102,19 +95,11 @@ class PISearch(SearchStrategy):
         cutoff_lambda: float = 1.0,
         partition_method: str = "greedy",
         partition_k: int = 2,
-        verifier: str = AUTO_VERIFIER,
-        verify_kernel: str = "auto",
     ):
         if index is None:
             raise IndexNotBuiltError("PISearch requires a built fragment index")
         check_partition_params(partition_method, partition_k)
-        super().__init__(
-            database=database,
-            measure=index.measure,
-            index=index,
-            verifier=verifier,
-            verify_kernel=verify_kernel,
-        )
+        super().__init__(database=database, measure=index.measure, index=index)
         self.epsilon = epsilon
         self.cutoff_lambda = cutoff_lambda
         self.partition_method = partition_method

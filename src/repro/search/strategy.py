@@ -8,22 +8,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.database import GraphDatabase
 from ..core.distance import DistanceMeasure
-from ..core.errors import EngineConfigError, UnknownComponentError
+from ..core.errors import EngineConfigError
 from ..core.graph import LabeledGraph
 from ..perf import GLOBAL_COUNTERS, MemoCache, PerfCounters
 from .results import PruningReport, SearchResult
-from .verify import (
-    AUTO_VERIFIER,
-    BoundedVerifier,
-    LegacyVerifier,
-    Verifier,
-    resolve_verifier_name,
-)
+from .verify import BoundedVerifier
 
 __all__ = ["SearchStrategy"]
-
-#: the verifiers a strategy's ``verifier=`` name can pick
-_VERIFIERS = {cls.name: cls for cls in (BoundedVerifier, LegacyVerifier)}
 
 
 class SearchStrategy:
@@ -35,8 +26,9 @@ class SearchStrategy:
     phase); a strategy that plans (PIS) overrides :meth:`plan_query` and
     :meth:`_execute` to also supply a pruning report and per-candidate lower
     bounds.  Verification itself is delegated to a
-    :class:`~repro.search.verify.Verifier` so every strategy returns
-    byte-for-byte comparable answer sets.
+    :class:`~repro.search.verify.BoundedVerifier` so every strategy returns
+    byte-for-byte comparable answer sets; only the oracle,
+    :class:`~repro.search.NaiveSearch`, verifies on its own reference path.
 
     Every strategy is instantiable with the same ``(database, measure,
     index=None)`` shape, so the registry in :mod:`repro.search.registry` can
@@ -52,18 +44,6 @@ class SearchStrategy:
     index:
         Optional built :class:`~repro.index.FragmentIndex`; required by
         strategies whose :attr:`requires_index` is true.
-    verifier:
-        Name of the candidate verifier: ``"auto"`` (the default) or
-        ``"bounded"`` for :class:`~repro.search.verify.BoundedVerifier`,
-        ``"legacy"`` for the reference
-        :class:`~repro.search.verify.LegacyVerifier`.
-    verify_kernel:
-        Superposition search kernel used during verification: ``"auto"``
-        (default) or ``"array"`` for the array kernel of
-        :mod:`repro.core.kernel`, ``"legacy"`` for the recursive reference
-        search.  ``verifier="legacy", verify_kernel="legacy"`` on
-        :class:`~repro.search.baselines.NaiveSearch` is the correctness
-        oracle; the engine always uses the defaults.
     """
 
     #: strategy identifier used in reports and registry lookups
@@ -77,8 +57,6 @@ class SearchStrategy:
         database: GraphDatabase,
         measure: Optional[DistanceMeasure] = None,
         index=None,
-        verifier: str = AUTO_VERIFIER,
-        verify_kernel: str = "auto",
     ):
         if measure is None and index is not None:
             measure = index.measure
@@ -89,8 +67,6 @@ class SearchStrategy:
         self.database = database
         self.measure = measure
         self.index = index
-        self.verifier_name = verifier
-        self.verify_kernel = verify_kernel
         # Index-backed strategies share the index's counter sink so that
         # filtering and verification report into one place; index-free
         # baselines own a private sink.
@@ -100,20 +76,20 @@ class SearchStrategy:
             if isinstance(index_counters, PerfCounters)
             else PerfCounters(mirror=GLOBAL_COUNTERS)
         )
-        self._verifiers: Dict[str, Verifier] = {}
+        self._verifier: Optional[BoundedVerifier] = None
 
     def with_counters(self, counters: PerfCounters) -> "SearchStrategy":
         """A shallow copy of this strategy that reports into ``counters``.
 
         The copy shares the database, the index and its caches; only the
-        counter sink and the verifiers (built lazily over it) are its own.
+        counter sink and the verifier (built lazily over it) are its own.
         Concurrent tasks over one strategy each run such a copy, with a
         sink that mirrors into the original's, so every task's per-query
         counter deltas hold its own work only.
         """
         clone = copy.copy(self)
         clone.counters = counters
-        clone._verifiers = {}
+        clone._verifier = None
         return clone
 
     # ------------------------------------------------------------------
@@ -174,37 +150,23 @@ class SearchStrategy:
     # ------------------------------------------------------------------
     # verification
     # ------------------------------------------------------------------
-    def _distance_cache(self) -> Optional[MemoCache]:
-        """The exact-distance memo cache shared through the index, if any.
+    def get_verifier(self) -> BoundedVerifier:
+        """Return (building on first use) the strategy's verifier.
 
-        Index-free strategies return ``None`` and the bounded verifier owns
-        a private cache instead.
+        The verifier shares the strategy's counter sink, so its work shows
+        up in the same profile as filtering, and the index's distance cache
+        when the index has one (an index-free strategy's verifier, or one
+        over a sharded index's merged view, owns a private cache).
         """
-        cache = getattr(self.index, "distance_cache", None)
-        return cache if isinstance(cache, MemoCache) else None
-
-    def get_verifier(self, name: Optional[str] = None) -> Verifier:
-        """Return (building on first use) the verifier called ``name``.
-
-        ``None`` uses the strategy's configured :attr:`verifier_name`;
-        ``"auto"`` resolves to ``"bounded"``, and any name other than
-        ``"bounded"`` or ``"legacy"`` raises
-        :class:`~repro.core.errors.UnknownComponentError`.  Verifiers share
-        the strategy's counter sink and the index's distance cache, so
-        their work shows up in the same profile as filtering.
-        """
-        resolved = resolve_verifier_name(name or self.verifier_name)
-        if resolved not in self._verifiers:
-            if resolved not in _VERIFIERS:
-                raise UnknownComponentError("verifier", resolved, _VERIFIERS)
-            self._verifiers[resolved] = _VERIFIERS[resolved](
+        if self._verifier is None:
+            cache = getattr(self.index, "distance_cache", None)
+            self._verifier = BoundedVerifier(
                 self.database,
                 self.measure,
                 counters=self.counters,
-                distance_cache=self._distance_cache(),
-                kernel=self.verify_kernel,
+                distance_cache=cache if isinstance(cache, MemoCache) else None,
             )
-        return self._verifiers[resolved]
+        return self._verifier
 
     def verify(
         self,
@@ -215,7 +177,7 @@ class SearchStrategy:
     ) -> Tuple[List[int], Dict[int, float]]:
         """Verify candidates: keep graphs whose true distance is within sigma.
 
-        Delegates to the configured :class:`~repro.search.verify.Verifier`.
+        Delegates to :meth:`get_verifier`.
 
         Parameters
         ----------

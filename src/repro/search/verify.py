@@ -1,54 +1,42 @@
-"""Candidate verification: one bounded, memoized path and its reference.
+"""Candidate verification: the one bounded, memoized path.
 
 Verification — computing the true minimum superimposed distance of every
 candidate that survived filtering (Definition 1) and keeping it when the
 distance is within ``sigma`` — dominates query time at low selectivity
-(see ``verify.seconds`` in :meth:`repro.engine.Engine.profile`).  Two
-:class:`Verifier` classes implement it:
+(see ``verify.seconds`` in :meth:`repro.engine.Engine.profile`).
+:class:`BoundedVerifier` is the one path every engine search takes.  It
+runs serially in the thread that runs the query (or the shard task), calls
+:func:`repro.core.best_superposition` (the array kernel where it can run)
+and exploits the per-candidate lower bounds that the PIS filtering phase
+already computes (:attr:`repro.search.pis.FilterOutcome.lower_bounds`):
 
-:class:`BoundedVerifier` (``"bounded"``, the default)
-    The one path every engine search takes.  It runs serially in the
-    thread that runs the query (or the shard task) and exploits the
-    per-candidate lower bounds that the PIS filtering phase already
-    computes (:attr:`repro.search.pis.FilterOutcome.lower_bounds`):
+* **ordering** — candidates are verified in ascending lower-bound order,
+  so the most promising candidates (and the cheapest branch-and-bound
+  runs) are decided first;
+* **short-circuit** — a candidate whose lower bound already exceeds
+  ``sigma`` is rejected without calling ``best_superposition`` at all (its
+  true distance can only be larger).  A safety net rather than a pipeline
+  speedup: PIS filtering already drops such candidates, so this fires only
+  for direct :meth:`BoundedVerifier.verify` calls or strategies that do not
+  pre-prune on the bound;
+* **early exit** — the lower bound is threaded into the branch-and-bound
+  search as ``known_lower_bound``: a complete superposition that meets the
+  bound is provably minimal, so the search stops without exploring the
+  rest of the tree;
+* **memoization** — exact distances are cached per
+  ``(measure, query content, graph id, graph revision)`` in a bounded
+  :class:`~repro.perf.MemoCache` shared through the fragment index, so
+  repeated queries (batches, benchmark rounds, sigma sweeps) stop
+  recomputing.  The *revision* component is the database's per-slot
+  rebinding counter (:meth:`repro.core.GraphDatabase.revision`): when a
+  graph id is removed and later reused for a different graph, its revision
+  changes and the old entry can never be served again.
 
-    * **ordering** — candidates are verified in ascending lower-bound order,
-      so the most promising candidates (and the cheapest branch-and-bound
-      runs) are decided first;
-    * **short-circuit** — a candidate whose lower bound already exceeds
-      ``sigma`` is rejected without calling ``best_superposition`` at all
-      (its true distance can only be larger).  A safety net rather than a
-      pipeline speedup: PIS filtering already drops such candidates, so
-      this fires only for direct :meth:`Verifier.verify` calls or
-      strategies that do not pre-prune on the bound;
-    * **early exit** — the lower bound is threaded into the
-      branch-and-bound search as ``known_lower_bound``: a complete
-      superposition that meets the bound is provably minimal, so the search
-      stops without exploring the rest of the tree;
-    * **memoization** — exact distances are cached per
-      ``(measure, query content, graph id, graph revision)`` in a bounded
-      :class:`~repro.perf.MemoCache` shared through the fragment index, so
-      repeated queries (batches, benchmark rounds, sigma sweeps) stop
-      recomputing.  The *revision* component is the database's per-slot
-      rebinding counter (:meth:`repro.core.GraphDatabase.revision`): when a
-      graph id is removed and later reused for a different graph, its
-      revision changes and the old entry can never be served again.
-
-:class:`LegacyVerifier` (``"legacy"``)
-    The reference path: one full :func:`repro.core.best_superposition` per
-    candidate, in candidate order, with no caching.  Only the oracle
-    strategy uses it: ``NaiveSearch(database, measure, verifier="legacy",
-    verify_kernel="legacy")``, the scan every optimized configuration must
-    match byte for byte.
-
-Both verifiers return answers in the original candidate order, so cached
-and cold runs produce byte-identical results.
-
-Examples
---------
->>> from repro.search.verify import resolve_verifier_name
->>> resolve_verifier_name("auto")
-'bounded'
+Answers come back in the original candidate order, so cached and cold runs
+produce byte-identical results.  The reference every configuration must
+match is not a verifier: :class:`~repro.search.NaiveSearch` verifies every
+live graph with the recursive reference search, with no bounds and no
+cache.
 """
 
 from __future__ import annotations
@@ -58,26 +46,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.database import GraphDatabase
 from ..core.distance import DistanceMeasure
-from ..core.errors import EngineConfigError
 from ..core.graph import LabeledGraph
 from ..core.superimposed import INFINITE_DISTANCE, best_superposition
 from ..perf import GLOBAL_COUNTERS, MemoCache, PerfCounters, graph_signature
 
-__all__ = [
-    "Verifier",
-    "LegacyVerifier",
-    "BoundedVerifier",
-    "resolve_verifier_name",
-    "query_cache_key",
-    "DEFAULT_VERIFIER",
-    "AUTO_VERIFIER",
-]
-
-#: registry name that resolves to the default optimized verifier
-AUTO_VERIFIER = "auto"
-
-#: the verifier ``"auto"`` resolves to
-DEFAULT_VERIFIER = "bounded"
+__all__ = ["BoundedVerifier", "query_cache_key"]
 
 #: cache-size default for verifiers that own a private distance cache
 PRIVATE_DISTANCE_CACHE_SIZE = 16384
@@ -116,166 +89,7 @@ def query_cache_key(query: LabeledGraph, measure: DistanceMeasure) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-#: accepted values of the verifier ``kernel`` mode
-KERNEL_MODES = ("auto", "array", "legacy")
-
-
-def resolve_kernel_mode(kernel: str) -> bool:
-    """Map a ``kernel`` mode string to a ``use_kernel`` argument.
-
-    ``"auto"`` and ``"array"`` -> ``True`` (the array kernel where it can
-    run); ``"legacy"`` -> ``False`` (the recursive reference search).
-    """
-    if kernel not in KERNEL_MODES:
-        raise EngineConfigError(
-            f"unknown kernel mode {kernel!r}; expected one of {KERNEL_MODES}"
-        )
-    return kernel != "legacy"
-
-
-class Verifier:
-    """Base class of the pluggable candidate verifiers.
-
-    A verifier computes, for each candidate graph id, whether the true
-    minimum superimposed distance between the query and that graph is within
-    ``sigma``, returning the surviving ids and their exact distances.
-    Subclasses implement :meth:`verify`; construction is uniform so
-    :meth:`repro.search.SearchStrategy.get_verifier` can build either one
-    from its name.
-
-    Parameters
-    ----------
-    database:
-        The graph database candidates refer into.
-    measure:
-        Decomposable superimposed distance measure (verification semantics).
-    counters:
-        Optional :class:`~repro.perf.PerfCounters` sink; a private sink
-        mirroring the process-wide counters is created when omitted.
-    distance_cache:
-        Optional :class:`~repro.perf.MemoCache` for exact distances, shared
-        through the fragment index so batches and sigma sweeps reuse work.
-        Verifiers that do not memoize ignore it.
-    kernel:
-        Branch-and-bound backend selection: ``"auto"`` (default) and
-        ``"array"`` run the array kernel of :mod:`repro.core.kernel` where
-        it can run; ``"legacy"`` pins the recursive reference search.  Both
-        backends return byte-identical distances.
-    """
-
-    #: verifier identifier used in reports and name lookups
-    name = "abstract"
-
-    def __init__(
-        self,
-        database: GraphDatabase,
-        measure: DistanceMeasure,
-        counters: Optional[PerfCounters] = None,
-        distance_cache: Optional[MemoCache] = None,
-        kernel: str = "auto",
-    ):
-        self.database = database
-        self.measure = measure
-        self.counters = (
-            counters
-            if isinstance(counters, PerfCounters)
-            else PerfCounters(mirror=GLOBAL_COUNTERS)
-        )
-        self.distance_cache = distance_cache
-        self.kernel = kernel
-        #: ``use_kernel`` argument derived from ``kernel``
-        self.use_kernel = resolve_kernel_mode(kernel)
-
-    def _graph_revision(self, graph_id: int) -> int:
-        """Rebinding revision of ``graph_id`` in the database (0 if static).
-
-        Part of every distance-cache key: a dynamic database bumps the
-        revision whenever a slot is removed, replaced, or reclaimed, which
-        retires every cached distance of the previous occupant.  Databases
-        without revision tracking are immutable-by-convention and report 0.
-        """
-        revision = getattr(self.database, "revision", None)
-        if callable(revision):
-            return revision(graph_id)
-        return 0
-
-    def verify(
-        self,
-        query: LabeledGraph,
-        sigma: float,
-        candidate_ids: Sequence[int],
-        lower_bounds: Optional[Mapping[int, float]] = None,
-    ) -> Tuple[List[int], Dict[int, float]]:
-        """Verify candidates: keep graphs whose true distance is within sigma.
-
-        Parameters
-        ----------
-        query:
-            The query graph.
-        sigma:
-            Distance threshold.
-        candidate_ids:
-            Graph ids surviving the filtering phase.
-        lower_bounds:
-            Optional proven lower bounds per candidate id (the filtering
-            phase's Eq. 2 bounds); verifiers that cannot use them ignore the
-            mapping.  Bounds must be *true* lower bounds of the superimposed
-            distance — a wrong bound can drop a true answer.
-
-        Returns
-        -------
-        tuple
-            ``(answer_ids, answer_distances)``: the surviving ids in
-            candidate order and their exact distances.
-        """
-        raise NotImplementedError
-
-
-class LegacyVerifier(Verifier):
-    """The pre-subsystem verification loop, kept as the reference path.
-
-    One full branch-and-bound :func:`~repro.core.best_superposition` call
-    per candidate, in candidate order, with the threshold as the only
-    pruning device — no ordering, no lower-bound short-circuit, no
-    memoization.  It is the baseline optimized verifiers
-    must match byte for byte.
-    """
-
-    name = "legacy"
-
-    def verify(
-        self,
-        query: LabeledGraph,
-        sigma: float,
-        candidate_ids: Sequence[int],
-        lower_bounds: Optional[Mapping[int, float]] = None,
-    ) -> Tuple[List[int], Dict[int, float]]:
-        """Verify candidates with one full search each (see class docs)."""
-        answers: List[int] = []
-        distances: Dict[int, float] = {}
-        explored = 0
-        expanded = 0
-        with self.counters.timer("verify"):
-            for graph_id in candidate_ids:
-                result = best_superposition(
-                    query,
-                    self.database[graph_id],
-                    self.measure,
-                    threshold=sigma,
-                    use_kernel=self.use_kernel,
-                )
-                explored += result.explored
-                expanded += result.nodes_expanded
-                if result.distance <= sigma:
-                    answers.append(graph_id)
-                    distances[graph_id] = result.distance
-        self.counters.increment("verify.candidates", len(candidate_ids))
-        self.counters.increment("verify.superpositions_explored", explored)
-        self.counters.increment("verify.nodes_expanded", expanded)
-        return answers, distances
-
-
-class BoundedVerifier(Verifier):
+class BoundedVerifier:
     """Lower-bound-driven verifier: order, short-circuit, memoize, early-exit.
 
     See the module docstring for the four optimizations.  Every one of them
@@ -292,9 +106,22 @@ class BoundedVerifier(Verifier):
     The verification order (ascending lower bound, ties in candidate order)
     is exposed as :attr:`last_order` for diagnostics and tests; answers are
     always reported in the original candidate order regardless.
-    """
 
-    name = "bounded"
+    Parameters
+    ----------
+    database:
+        The graph database candidates refer into.
+    measure:
+        Decomposable superimposed distance measure (verification semantics).
+    counters:
+        Optional :class:`~repro.perf.PerfCounters` sink; a private sink
+        mirroring the process-wide counters is created when omitted.
+    distance_cache:
+        Optional :class:`~repro.perf.MemoCache` for exact distances, shared
+        through the fragment index so batches and sigma sweeps reuse work.
+        Without one (an index-free strategy, or one over a sharded index's
+        merged view) the verifier owns a private cache.
+    """
 
     def __init__(
         self,
@@ -302,23 +129,34 @@ class BoundedVerifier(Verifier):
         measure: DistanceMeasure,
         counters: Optional[PerfCounters] = None,
         distance_cache: Optional[MemoCache] = None,
-        kernel: str = "auto",
     ):
-        super().__init__(
-            database,
-            measure,
-            counters=counters,
-            distance_cache=distance_cache,
-            kernel=kernel,
+        self.database = database
+        self.measure = measure
+        self.counters = (
+            counters
+            if isinstance(counters, PerfCounters)
+            else PerfCounters(mirror=GLOBAL_COUNTERS)
         )
-        if self.distance_cache is None:
-            # No index-shared cache (e.g. an index-free baseline strategy):
-            # own a private one so repeated queries still benefit.
-            self.distance_cache = MemoCache(
-                "verify_distance", maxsize=PRIVATE_DISTANCE_CACHE_SIZE
-            )
+        self.distance_cache = (
+            distance_cache
+            if distance_cache is not None
+            else MemoCache("verify_distance", maxsize=PRIVATE_DISTANCE_CACHE_SIZE)
+        )
         #: candidate ids in the order the last :meth:`verify` decided them
         self.last_order: List[int] = []
+
+    def _graph_revision(self, graph_id: int) -> int:
+        """Rebinding revision of ``graph_id`` in the database (0 if static).
+
+        Part of every distance-cache key: a dynamic database bumps the
+        revision whenever a slot is removed, replaced, or reclaimed, which
+        retires every cached distance of the previous occupant.  Databases
+        without revision tracking are immutable-by-convention and report 0.
+        """
+        revision = getattr(self.database, "revision", None)
+        if callable(revision):
+            return revision(graph_id)
+        return 0
 
     # ------------------------------------------------------------------
     # the verification plan
@@ -362,7 +200,27 @@ class BoundedVerifier(Verifier):
         candidate_ids: Sequence[int],
         lower_bounds: Optional[Mapping[int, float]] = None,
     ) -> Tuple[List[int], Dict[int, float]]:
-        """Verify candidates using the filtering lower bounds (see class docs)."""
+        """Verify candidates: keep graphs whose true distance is within sigma.
+
+        Parameters
+        ----------
+        query:
+            The query graph.
+        sigma:
+            Distance threshold.
+        candidate_ids:
+            Graph ids surviving the filtering phase.
+        lower_bounds:
+            Optional proven lower bounds per candidate id (the filtering
+            phase's Eq. 2 bounds).  Bounds must be *true* lower bounds of the
+            superimposed distance — a wrong bound can drop a true answer.
+
+        Returns
+        -------
+        tuple
+            ``(answer_ids, answer_distances)``: the surviving ids in
+            candidate order and their exact distances.
+        """
         candidate_ids = list(candidate_ids)
         bounds = lower_bounds or {}
         with self.counters.timer("verify"):
@@ -381,7 +239,7 @@ class BoundedVerifier(Verifier):
             if distance is not None
         }
         # Deterministic output: answers in original candidate order, exactly
-        # as the legacy loop reports them.
+        # as the oracle's scan reports them.
         answers = [graph_id for graph_id in candidate_ids if graph_id in found]
         distances = {graph_id: found[graph_id] for graph_id in answers}
         self.counters.increment("verify.candidates", len(candidate_ids))
@@ -448,7 +306,6 @@ class BoundedVerifier(Verifier):
             self.measure,
             threshold=sigma,
             known_lower_bound=bound,
-            use_kernel=self.use_kernel,
         )
         self.distance_cache.put(cache_key, (result.distance, sigma))
         return (
@@ -457,8 +314,3 @@ class BoundedVerifier(Verifier):
             1 if result.early_exit else 0,
             result.nodes_expanded,
         )
-
-
-def resolve_verifier_name(name: str) -> str:
-    """Resolve ``"auto"`` to the default verifier; pass other names through."""
-    return DEFAULT_VERIFIER if name == AUTO_VERIFIER else name

@@ -93,13 +93,11 @@ def random_connected_subgraph(graph, num_edges, rng):
 
 def oracle_answers(database, measure, query, sigma):
     """The exact answer as ``(ids, {id: distance})``: NaiveSearch verifying
-    every live graph with the legacy verifier and the recursive reference
-    superposition search (no filtering, no array kernel, no caches)."""
+    every live graph with the recursive reference superposition search (no
+    filtering, no array kernel, no caches)."""
     from repro.search import NaiveSearch
 
-    result = NaiveSearch(
-        database, measure, verifier="legacy", verify_kernel="legacy"
-    ).search(query, sigma)
+    result = NaiveSearch(database, measure).search(query, sigma)
     ids = list(result.answer_ids)
     return ids, {graph_id: result.answer_distances[graph_id] for graph_id in ids}
 

@@ -436,7 +436,7 @@ class TestEnginePersistence:
         )
         for strategy in strategies:
             verifier = strategy.get_verifier()
-            assert type(verifier) is BoundedVerifier and verifier.use_kernel
+            assert type(verifier) is BoundedVerifier
         reloaded.save(path)
         saved = json.loads(path.read_text())["config"]
         assert not {"verifier", "verify_workers", "kernel"} & set(saved)

@@ -1,11 +1,11 @@
 """Property tests for the array superposition kernel (:mod:`repro.core.kernel`).
 
 The kernel's contract is byte-identity: for every (query, target, measure,
-threshold) combination it must return exactly the distance the legacy
-recursive search returns — including ``inf`` — and a whole engine running
-on the kernel must produce byte-identical answer sets to one running on
-the recursive path, sharded or not.  The suite sweeps random graph pairs
-across both paper measures, the include-vertices/include-edges subsets,
+threshold) combination it must return exactly the distance the recursive
+reference search returns — including ``inf`` — and a whole engine running
+on the kernel must produce byte-identical answer sets to the oracle, which
+verifies with the reference search, sharded or not.  The suite sweeps
+random graph pairs across both paper measures, the include-vertices/include-edges subsets,
 and every search mode (plain, threshold, ``stop_at_threshold``,
 ``known_lower_bound``).
 """
@@ -27,6 +27,8 @@ from repro.core import (
 )
 from repro.core.database import GraphDatabase
 from repro.core import kernel as kernel_module
+from repro.core import superimposed as superimposed_module
+from repro.core.superimposed import _reference_best_superposition as reference
 from repro.core.kernel import (
     MAX_KERNEL_VERTICES,
     graph_arrays,
@@ -35,6 +37,7 @@ from repro.core.kernel import (
 )
 from repro.datasets import sample_connected_subgraph
 from repro.engine import Engine, EngineConfig
+from repro.search import BoundedVerifier
 
 from helpers import build_graph, cycle_graph, path_graph, random_molecule, oracle_answers
 
@@ -68,7 +71,7 @@ def _random_pair(rng, mutate=True):
 
 
 class TestDistanceEquality:
-    """Kernel distances must equal legacy distances bit for bit."""
+    """Kernel distances must equal reference distances bit for bit."""
 
     @pytest.mark.parametrize("measure_name", sorted(MEASURES))
     @pytest.mark.parametrize("trial", range(8))
@@ -79,12 +82,8 @@ class TestDistanceEquality:
         )
         query, target = _random_pair(rng)
         for threshold in (None, 0.0, 1.0, 3.5):
-            legacy = best_superposition(
-                query, target, measure, threshold=threshold, use_kernel=False
-            )
-            fast = best_superposition(
-                query, target, measure, threshold=threshold, use_kernel=True
-            )
+            legacy = reference(query, target, measure, threshold=threshold)
+            fast = best_superposition(query, target, measure, threshold=threshold)
             assert fast.distance == legacy.distance, (
                 f"threshold={threshold}: kernel {fast.distance!r} "
                 f"!= legacy {legacy.distance!r}"
@@ -105,46 +104,37 @@ class TestDistanceEquality:
         rng = random.Random(1000 + trial)
         query, target = _random_pair(rng)
         for sigma in (0.0, 1.0, 2.5, 5.0):
-            assert within_distance(
-                query, target, full_measure, sigma, use_kernel=True
-            ) == within_distance(
-                query, target, full_measure, sigma, use_kernel=False
+            legacy = reference(
+                query, target, full_measure, threshold=sigma, stop_at_threshold=True
+            )
+            assert within_distance(query, target, full_measure, sigma) == (
+                legacy.distance <= sigma
             )
 
     @pytest.mark.parametrize("trial", range(6))
     def test_known_lower_bound_stays_exact(self, trial, edge_measure):
         rng = random.Random(2000 + trial)
         query, target = _random_pair(rng)
-        exact = best_superposition(
-            query, target, edge_measure, use_kernel=False
-        ).distance
+        exact = reference(query, target, edge_measure).distance
         if exact == INFINITE_DISTANCE:
             pytest.skip("no superposition: lower bound irrelevant")
         for bound in (0.0, exact / 2, exact):
             fast = best_superposition(
-                query,
-                target,
-                edge_measure,
-                known_lower_bound=bound,
-                use_kernel=True,
+                query, target, edge_measure, known_lower_bound=bound
             )
             assert fast.distance == exact
 
     def test_infinite_when_structure_absent(self, full_measure):
         assert (
-            best_superposition(
-                cycle_graph(4), path_graph(5), full_measure, use_kernel=True
-            ).distance
+            best_superposition(cycle_graph(4), path_graph(5), full_measure).distance
             == INFINITE_DISTANCE
         )
 
     def test_single_vertex_query(self, full_measure):
         query = build_graph(1, [], vertex_labels=["N"])
         target = random_molecule(random.Random(3), num_vertices=7)
-        for use_kernel in (True, False):
-            result = best_superposition(
-                query, target, full_measure, use_kernel=use_kernel
-            )
+        for search in (best_superposition, reference):
+            result = search(query, target, full_measure)
             assert result.distance == min(
                 full_measure.vertex_cost(query, 0, target, tv)
                 for tv in target.vertices()
@@ -153,14 +143,14 @@ class TestDistanceEquality:
     def test_graph_pair_distance_matches(self, edge_measure):
         a = cycle_graph(4, edge_labels=["s", "s", "d", "d"])
         b = cycle_graph(4, edge_labels=["d", "s", "d", "s"])
-        assert graph_pair_distance(a, b, edge_measure, use_kernel=True) == (
-            graph_pair_distance(a, b, edge_measure, use_kernel=False)
+        assert graph_pair_distance(a, b, edge_measure) == (
+            reference(a, b, edge_measure).distance
         )
 
     @pytest.mark.parametrize("trial", range(4))
     def test_default_routes_to_kernel(self, trial, full_measure, monkeypatch):
-        # The default runs the array kernel; use_kernel=False runs the
-        # recursive reference search — same distances either way.
+        # best_superposition runs the array kernel; the recursive reference
+        # search returns the same distances.
         rng = random.Random(4000 + trial)
         query, target = _random_pair(rng)
         calls = []
@@ -172,7 +162,7 @@ class TestDistanceEquality:
 
         monkeypatch.setattr(kernel_module, "kernel_best_superposition", counting)
         default = best_superposition(query, target, full_measure)
-        legacy = best_superposition(query, target, full_measure, use_kernel=False)
+        legacy = reference(query, target, full_measure)
         assert default.distance == legacy.distance
         if query.num_vertices and (
             query.num_vertices <= target.num_vertices
@@ -206,14 +196,11 @@ class TestKernelEncoding:
         # answering with pre-mutation labels.
         query = path_graph(1, edge_labels=["double"])
         target = cycle_graph(3, edge_labels=["double", "single", "single"])
-        assert (
-            best_superposition(query, target, edge_measure, use_kernel=True).distance
-            == 0.0
-        )
+        assert best_superposition(query, target, edge_measure).distance == 0.0
         for (u, v) in list(target.edges()):
             target.set_edge_label(u, v, "single")
-        after = best_superposition(query, target, edge_measure, use_kernel=True)
-        legacy = best_superposition(query, target, edge_measure, use_kernel=False)
+        after = best_superposition(query, target, edge_measure)
+        legacy = reference(query, target, edge_measure)
         assert after.distance == legacy.distance > 0.0
 
     def test_cache_excluded_from_pickle_and_deepcopy(self):
@@ -225,6 +212,19 @@ class TestKernelEncoding:
             # and the clone builds a working cache of its own
             assert graph_arrays(clone) is not None
 
+    @staticmethod
+    def _count_reference_calls(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return reference(*args, **kwargs)
+
+        monkeypatch.setattr(
+            superimposed_module, "_reference_best_superposition", counting
+        )
+        return calls
+
     def test_oversized_target_falls_back(self, edge_measure, monkeypatch):
         monkeypatch.setattr(kernel_module, "MAX_KERNEL_VERTICES", 4)
         target = random_molecule(random.Random(8), num_vertices=6)
@@ -233,9 +233,28 @@ class TestKernelEncoding:
         assert (
             kernel_best_superposition(query, target, edge_measure) is None
         )  # refuses: best_superposition then runs the recursive path
-        result = best_superposition(query, target, edge_measure, use_kernel=True)
-        legacy = best_superposition(query, target, edge_measure, use_kernel=False)
+        legacy = reference(query, target, edge_measure)
+        calls = self._count_reference_calls(monkeypatch)
+        result = best_superposition(query, target, edge_measure)
+        assert calls == [1]
         assert result.distance == legacy.distance
+
+    def test_measure_without_cost_tables_falls_back(self, monkeypatch):
+        class NoTables(MutationDistance):
+            def edge_cost_table(self, query, query_edges, target, target_edges):
+                return None
+
+        measure = NoTables(include_vertices=False, include_edges=True)
+        rng = random.Random(9)
+        for _ in range(4):
+            query, target = _random_pair(rng)
+            assert 0 < query.num_edges <= target.num_edges
+            assert kernel_best_superposition(query, target, measure) is None
+            legacy = reference(query, target, measure, threshold=2.0)
+            calls = self._count_reference_calls(monkeypatch)
+            result = best_superposition(query, target, measure, threshold=2.0)
+            assert calls == [1]
+            assert result.distance == legacy.distance
 
     def test_max_kernel_vertices_is_sane(self):
         assert MAX_KERNEL_VERTICES >= 64
@@ -253,8 +272,8 @@ class TestNodesExpanded:
         # exists, and the distances must still agree.
         rng = random.Random(6000 + trial)
         query, target = _random_pair(rng)
-        legacy = best_superposition(query, target, full_measure, use_kernel=False)
-        fast = best_superposition(query, target, full_measure, use_kernel=True)
+        legacy = reference(query, target, full_measure)
+        fast = best_superposition(query, target, full_measure)
         assert fast.distance == legacy.distance
         if legacy.distance != INFINITE_DISTANCE:
             assert legacy.nodes_expanded > 0
@@ -296,7 +315,7 @@ def _engine_search(engine):
 
 class TestEngineByteIdentity:
     """End-to-end: the engine (array kernel) answers like the oracle
-    (legacy verifier over the recursive reference search)."""
+    (NaiveSearch over the recursive reference search)."""
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_answers_identical_across_kernels(self, shards):
@@ -314,8 +333,8 @@ class TestEngineByteIdentity:
         strategies = (
             engine._shard_strategy_list() if shards > 1 else [engine.strategy]
         )
-        # every verifier the engine runs uses the array kernel
-        assert all(s.get_verifier().use_kernel is True for s in strategies)
+        # every strategy the engine runs verifies with the bounded verifier
+        assert all(type(s.get_verifier()) is BoundedVerifier for s in strategies)
         payload = _answers_payload(_engine_search(engine), queries, sigmas)
         oracle = _answers_payload(
             lambda query, sigma: oracle_answers(

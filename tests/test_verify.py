@@ -7,20 +7,22 @@ import random
 import pytest
 
 from repro.core import GraphDatabase, default_edge_mutation_distance
+from repro.core import kernel as kernel_module
 from repro.core.superimposed import best_superposition
 from repro.engine import Engine, EngineConfig
 from repro.perf import MemoCache
-from repro.search import BoundedVerifier, LegacyVerifier, NaiveSearch, PISearch
-from repro.search.strategy import SearchStrategy
-from repro.search.verify import (
-    AUTO_VERIFIER,
-    DEFAULT_VERIFIER,
-    query_cache_key,
-    resolve_verifier_name,
+from repro.search import (
+    BoundedVerifier,
+    ExactTopoPruneSearch,
+    NaiveSearch,
+    PISearch,
+    TopoPruneSearch,
 )
-from repro.core.errors import EngineConfigError, UnknownComponentError
+from repro.search.strategy import SearchStrategy
+from repro.search.verify import query_cache_key
+from repro.core.errors import EngineConfigError
 
-from helpers import random_molecule, random_connected_subgraph
+from helpers import oracle_answers, random_connected_subgraph
 
 
 # ----------------------------------------------------------------------
@@ -34,44 +36,6 @@ def query(small_database):
     sub = random_connected_subgraph(graph, num_edges=5, rng=rng)
     assert sub is not None
     return sub
-
-
-def legacy_truth(database, measure, query, sigma):
-    """Ground-truth answers/distances via the legacy sequential loop over
-    the recursive reference search."""
-    verifier = LegacyVerifier(database, measure, kernel="legacy")
-    return verifier.verify(query, sigma, list(database.graph_ids()))
-
-
-# ----------------------------------------------------------------------
-# verifier names
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def test_available_verifiers(self, small_database, edge_measure):
-        strategy = NaiveSearch(small_database, edge_measure)
-        with pytest.raises(UnknownComponentError) as raised:
-            strategy.get_verifier("nope")
-        assert raised.value.available == ["bounded", "legacy"]
-
-    def test_auto_resolves_to_default(self):
-        assert resolve_verifier_name(AUTO_VERIFIER) == DEFAULT_VERIFIER
-        assert resolve_verifier_name("legacy") == "legacy"
-
-    def test_make_verifier_auto(self, small_database, edge_measure):
-        strategy = NaiveSearch(small_database, edge_measure)
-        assert isinstance(strategy.get_verifier("auto"), BoundedVerifier)
-        assert strategy.get_verifier("auto") is strategy.get_verifier("bounded")
-        assert isinstance(strategy.get_verifier("legacy"), LegacyVerifier)
-
-    def test_unknown_verifier(self, small_database, edge_measure):
-        strategy = NaiveSearch(small_database, edge_measure)
-        with pytest.raises(UnknownComponentError, match="unknown verifier 'nope'"):
-            strategy.get_verifier("nope")
-
-    def test_strategy_rejects_bad_verifier_lazily(self, small_database, edge_measure):
-        strategy = NaiveSearch(small_database, edge_measure, verifier="nope")
-        with pytest.raises(UnknownComponentError):
-            strategy.get_verifier()
 
 
 # ----------------------------------------------------------------------
@@ -105,7 +69,7 @@ class TestBoundedPlan:
     ):
         """With *valid* lower bounds the skipped candidates cannot be answers."""
         sigma = 2.0
-        truth_answers, truth_distances = legacy_truth(
+        truth_answers, truth_distances = oracle_answers(
             small_database, edge_measure, query, sigma
         )
         # Valid bounds: half the true distance (never exceeds the truth).
@@ -144,7 +108,7 @@ class TestBoundedPlan:
 class TestEquivalence:
     @pytest.mark.parametrize("sigma", [0.0, 1.0, 2.0, 4.0])
     def test_bounded_matches_legacy(self, small_database, edge_measure, query, sigma):
-        truth = legacy_truth(small_database, edge_measure, query, sigma)
+        truth = oracle_answers(small_database, edge_measure, query, sigma)
         verifier = BoundedVerifier(small_database, edge_measure)
         assert (
             verifier.verify(query, sigma, list(small_database.graph_ids())) == truth
@@ -187,11 +151,9 @@ class TestMemoization:
     def test_cache_shared_through_index(self, small_database, small_index, query):
         """Two strategies over one index reuse each other's distances."""
         pis = PISearch(small_database, index=small_index)
-        naive = NaiveSearch(
-            small_database, small_index.measure, index=small_index
-        )
+        topo = TopoPruneSearch(small_database, index=small_index)
         small_index.clear_caches()
-        naive.search(query, 2.0)  # verifies every graph, warming the cache
+        topo.search(query, 2.0)  # verifies every structure candidate
         hits_before = small_index.distance_cache.hits
         pis.search(query, 2.0)
         assert small_index.distance_cache.hits > hits_before
@@ -203,8 +165,8 @@ class TestMemoization:
         candidates = list(small_database.graph_ids())
         low = verifier.verify(query, 0.0, candidates)
         high = verifier.verify(query, 10.0, candidates)
-        truth_low = legacy_truth(small_database, edge_measure, query, 0.0)
-        truth_high = legacy_truth(small_database, edge_measure, query, 10.0)
+        truth_low = oracle_answers(small_database, edge_measure, query, 0.0)
+        truth_high = oracle_answers(small_database, edge_measure, query, 10.0)
         assert low == truth_low
         assert high == truth_high
 
@@ -217,7 +179,7 @@ class TestMemoization:
         misses = verifier.distance_cache.misses
         low = verifier.verify(query, 1.0, candidates)
         assert verifier.distance_cache.misses == misses  # all from cache
-        assert low == legacy_truth(small_database, edge_measure, query, 1.0)
+        assert low == oracle_answers(small_database, edge_measure, query, 1.0)
 
     def test_query_cache_key_separates_measures(self, query, edge_measure, full_measure):
         assert query_cache_key(query, edge_measure) != query_cache_key(
@@ -229,28 +191,77 @@ class TestMemoization:
 
 
 # ----------------------------------------------------------------------
-# the oracle is a configured choice, not a global switch
+# the oracle: NaiveSearch verifies on its own reference path
 # ----------------------------------------------------------------------
 class TestOracleConfiguration:
     def test_legacy_verifier_is_a_configured_choice(
         self, small_database, edge_measure, query
     ):
+        """``verifier="legacy", verify_kernel="legacy"`` — the one selection
+        left — builds the same oracle as the plain constructor."""
         strategy = NaiveSearch(
             small_database, edge_measure, verifier="legacy", verify_kernel="legacy"
         )
-        verifier = strategy.get_verifier()
-        assert isinstance(verifier, LegacyVerifier)
-        assert verifier.use_kernel is False
         bounds = {graph_id: 100.0 for graph_id in small_database.graph_ids()}
         answers, distances = strategy.verify(
             query, 2.0, list(small_database.graph_ids()), lower_bounds=bounds
         )
-        # The legacy loop ignores bounds entirely: nothing was skipped and
+        # The reference scan ignores bounds entirely: nothing was skipped and
         # every candidate was decided by a full distance computation.
         assert strategy.counters.get("verify.lower_bound_skips") == 0
-        assert (answers, distances) == legacy_truth(
+        assert strategy.counters.get("verify.candidates") == len(small_database)
+        assert strategy.counters.get("verify.nodes_expanded") > 0
+        assert (answers, distances) == oracle_answers(
             small_database, edge_measure, query, 2.0
         )
+
+    @pytest.mark.parametrize(
+        "keywords",
+        [
+            {"verifier": "bounded"},
+            {"verify_kernel": "array"},
+            {"verifier": "auto"},
+            {"verify_kernel": "auto"},
+            {"verifier": "legacy", "verify_kernel": "array"},
+        ],
+    )
+    def test_naive_refuses_other_verifier_selections(
+        self, small_database, edge_measure, keywords
+    ):
+        with pytest.raises(EngineConfigError, match="legacy"):
+            NaiveSearch(small_database, edge_measure, **keywords)
+
+    def test_strategies_take_no_verifier_selection(self, small_database, small_index):
+        for strategy_class in (PISearch, TopoPruneSearch):
+            with pytest.raises(TypeError):
+                strategy_class(small_database, index=small_index, verifier="legacy")
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_oracle_does_not_depend_on_the_engine_path(
+        self, small_database, query, monkeypatch, shards
+    ):
+        """The oracle answers with the array kernel and the bounded verifier
+        both broken, and those answers equal the engine's."""
+        engine = Engine.build(
+            small_database,
+            EngineConfig(selector_params={"max_edges": 3}),
+            shards=shards,
+        )
+        expected = {
+            sigma: engine.search(query, sigma) for sigma in (0.0, 1.0, 2.0)
+        }
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the oracle reached the engine's verify path")
+
+        monkeypatch.setattr(kernel_module, "kernel_best_superposition", broken)
+        monkeypatch.setattr(BoundedVerifier, "verify", broken)
+        naive = NaiveSearch(small_database, engine.measure)
+        for sigma, result in expected.items():
+            truth = naive.search(query, sigma)
+            assert truth.answer_ids == result.answer_ids
+            assert truth.answer_distances == result.answer_distances
+        assert any(result.answer_ids for result in expected.values())
 
     def test_default_pis_search_matches_oracle(
         self, small_database, small_index, query
@@ -259,7 +270,7 @@ class TestOracleConfiguration:
         assert isinstance(pis.get_verifier(), BoundedVerifier)
         for sigma in (0.0, 1.0, 2.0):
             result = pis.search(query, sigma)
-            assert (result.answer_ids, result.answer_distances) == legacy_truth(
+            assert (result.answer_ids, result.answer_distances) == oracle_answers(
                 small_database, small_index.measure, query, sigma
             )
 
@@ -322,9 +333,8 @@ class TestEngineWiring:
         assert used
         for verifier in used:
             assert type(verifier) is BoundedVerifier
-            assert verifier.use_kernel is True
             assert verifier.distance_cache is engine.index.distance_cache
-        assert (result.answer_ids, result.answer_distances) == legacy_truth(
+        assert (result.answer_ids, result.answer_distances) == oracle_answers(
             engine.database, engine.measure, query, 1.0
         )
 
@@ -459,9 +469,10 @@ class TestPrivateCache:
     def test_index_free_strategy_owns_private_cache(
         self, small_database, edge_measure
     ):
-        strategy = NaiveSearch(small_database, edge_measure)
+        strategy = ExactTopoPruneSearch(small_database, edge_measure)
         verifier = strategy.get_verifier()
         assert isinstance(verifier.distance_cache, MemoCache)
+        assert strategy.get_verifier() is verifier
 
     def test_index_backed_strategy_shares_index_cache(
         self, small_database, small_index
