@@ -23,10 +23,12 @@ A measure exposes three views used by different parts of the system:
     cost of a concrete superposition (used by verification),
 ``sequence_distance``
     distance between two label/weight sequences read in the same canonical
-    order (used by the per-class index stores),
-``vectorize``
-    optional numeric vector for the vectorized L1 scans of the per-class
-    vector store; only the linear measure supports it.
+    order (the definition the per-class index store reproduces),
+``annotation_distances``
+    distances from one annotation to an array of annotations: the score
+    row the per-class index store gathers by code.  The base class loops
+    ``annotation_distance``; the linear measure computes it in one numpy
+    pass, bit-equal to the scalar form.
 """
 
 from __future__ import annotations
@@ -100,9 +102,10 @@ class MutationScoreMatrix:
 
     def score(self, a: Label, b: Label) -> float:
         """Return the mutation cost between labels ``a`` and ``b``."""
-        if a == b:
-            return self._scores.get(self._key(a, b), self.match_cost)
-        return self._scores.get(self._key(a, b), self.mismatch_cost)
+        default = self.match_cost if a == b else self.mismatch_cost
+        if not self._scores:
+            return default
+        return self._scores.get(self._key(a, b), default)
 
     def to_dict(self) -> Dict[str, Any]:
         """Return a JSON-serializable description of the matrix."""
@@ -258,21 +261,33 @@ class DistanceMeasure:
         Sequences are read by :class:`repro.core.fragments.FragmentEnumerator`
         in the layout of a structural equivalence class
         (:class:`repro.index.sequence.FragmentSequencer`), so position ``i``
-        of both sequences refers to the same canonical element.
+        of both sequences refers to the same canonical element.  The
+        per-position distances are added in sequence order starting from
+        ``0.0`` (builtin ``sum`` compensates rounding on Python 3.12+, which
+        no range-query store reproduces).
         """
         if len(a) != len(b):
             raise DistanceError(
                 f"sequences must have equal length ({len(a)} != {len(b)})"
             )
-        return sum(self.annotation_distance(x, y) for x, y in zip(a, b))
+        total = 0.0
+        for x, y in zip(a, b):
+            total += self.annotation_distance(x, y)
+        return total
 
-    def supports_vectorization(self) -> bool:
-        """Return ``True`` if annotations are numeric (vector-store friendly)."""
-        return False
+    def annotation_distances(self, annotation: Any, annotations: Sequence[Any]) -> Any:
+        """Distances from ``annotation`` to each of ``annotations``.
 
-    def vectorize(self, sequence: Sequence[Any]) -> Tuple[float, ...]:
-        """Convert an annotation sequence into a numeric vector."""
-        raise DistanceError(f"{self.name} does not support vectorization")
+        Returns a float64 array whose entry ``i`` equals
+        ``annotation_distance(annotation, annotations[i])`` exactly, so a
+        store summing gathered entries in sequence order reproduces
+        :meth:`sequence_distance` bit for bit.  Subclasses may override it
+        with a batched computation that keeps that equality.
+        """
+        return _np.array(
+            [self.annotation_distance(annotation, other) for other in annotations],
+            dtype=_np.float64,
+        )
 
     def describe(self) -> Dict[str, Any]:
         """Return a JSON-serializable description of this measure."""
@@ -417,8 +432,8 @@ class LinearMutationDistance(DistanceMeasure):
     """Linear mutation distance (LD) over numeric weights.
 
     The per-element cost is ``|w - w'|``; elements without an explicit
-    weight default to 0.  Annotation sequences are numeric, so this measure
-    supports vectorization and is indexed by vectorized L1 scans.
+    weight default to 0.  Annotations are numeric, so the score rows of
+    :meth:`annotation_distances` come from one numpy pass.
     """
 
     name = "linear"
@@ -457,11 +472,8 @@ class LinearMutationDistance(DistanceMeasure):
     def annotation_distance(self, a, b) -> float:
         return abs(float(a) - float(b))
 
-    def supports_vectorization(self) -> bool:
-        return True
-
-    def vectorize(self, sequence: Sequence[Any]) -> Tuple[float, ...]:
-        return tuple(float(x) for x in sequence)
+    def annotation_distances(self, annotation, annotations):
+        return _np.abs(float(annotation) - _np.asarray(annotations, dtype=_np.float64))
 
 
 def default_edge_mutation_distance() -> MutationDistance:

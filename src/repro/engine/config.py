@@ -57,8 +57,8 @@ class EngineConfig:
     measure:
         Serialized distance measure (:func:`repro.index.measure_to_dict`
         output) or ``None`` for the paper's default edge-label mutation
-        distance.  It also picks each class's range-query store: a trie
-        for the mutation distance, a vector store for the linear one.
+        distance.  Every class keeps one range-query store whatever the
+        measure; the measure scores its annotations.
     strategy / strategy_params:
         Registry name of the search strategy plus its constructor
         parameters (e.g. ``"pis"`` with ``{"partition_method": "exact"}``).

@@ -18,10 +18,8 @@ from .sharded import (
     merge_search_results,
     shard_of,
 )
-from .trie import TrieBackend
 
 __all__ = [
-    "TrieBackend",
     "FragmentSequencer",
     "EquivalenceClassIndex",
     "FragmentIndex",

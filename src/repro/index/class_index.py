@@ -5,10 +5,10 @@ structural equivalence class (Definition 4) with
 
 * a :class:`~repro.index.sequence.FragmentSequencer` that fixes the
   layout of the class's annotation sequences, and
-* one range-query store holding ``(sequence, graph id)`` entries, chosen
-  from the measure: a :class:`~repro.index.trie.TrieBackend` for the
-  mutation distance and a :class:`_VectorStore` for the vectorizable
-  linear mutation distance (the paper's Example 3).
+* one :class:`SequenceStore` holding the class's ``(sequence, graph id)``
+  entries as coded columns, for every measure: categorical labels under
+  the mutation distance and numeric weights under the linear mutation
+  distance (the paper's Example 3) alike.
 
 The class answers the two questions PIS asks during search (Eq. 3 and
 Algorithm 2, lines 9–17): *which database graphs contain a fragment of this
@@ -19,7 +19,8 @@ all, which is what topoPrune and the structure-violation rule use.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Set, Tuple, Union
+from array import array
+from typing import Any, Dict, Iterator, List, Set, Tuple
 
 import numpy as _np
 
@@ -27,112 +28,153 @@ from ..core.canonical import CanonicalCode
 from ..core.distance import DistanceMeasure
 from ..core.graph import LabeledGraph
 from .sequence import FragmentSequencer
-from .trie import TrieBackend
 
-__all__ = ["EquivalenceClassIndex"]
+__all__ = ["EquivalenceClassIndex", "SequenceStore"]
 
 AnnotationSequence = Tuple[Any, ...]
-Vector = Tuple[float, ...]
-
-#: Below this many stored vectors the scalar loop beats the numpy pass —
-#: array construction and ufunc dispatch cost more than the whole scan.
-#: Small per-class postings are the norm on database shards, so this keeps
-#: a shard's range query from paying full-size fixed costs on a
-#: quarter-size posting list.
-_SCALAR_SCAN_MAX = 32
 
 
-class _VectorStore:
-    """Pre-vectorized annotation arrays for one equivalence class.
+class SequenceStore:
+    """Coded-column range-query store of one class's annotation sequences.
 
-    Keeps every inserted occurrence as a numeric vector (via
-    :meth:`DistanceMeasure.vectorize`) plus the owning graph id — one scan
-    row per occurrence — and answers L1 range queries with one vectorized
-    pass.  The numpy matrix is built lazily and invalidated on every
-    change.  The distinct ``(vector, graph_id)`` entries are tracked per
-    graph beside the rows, for :meth:`entries`, ``len()`` and removal.
+    Every distinct sequence is encoded once, as a row of small integer
+    codes over per-position alphabets (the first annotation seen at a
+    position gets code 0, the next new one code 1, ...), and memoised, so
+    an insert costs one dict lookup plus a dedup-set check.  Every distinct
+    ``(sequence, graph_id)`` entry is one row holding the sequence's number
+    and the graph id.  All of it lives in flat ``array("q")`` buffers that
+    grow by amortised append and shrink by mask compaction on
+    :meth:`delete`, so the store is always complete: a range query reads
+    the buffers through zero-copy numpy views, and forked workers inherit
+    them as they are.  Distinct sequences outlive their rows; once they
+    outnumber twice the rows (plus 32), :meth:`delete` re-encodes the live
+    entries, so numeric annotations under churn cannot grow the store
+    without bound.
+
+    A range query builds one score row per position — the distances from
+    the query's annotation to that position's alphabet, from
+    :meth:`~repro.core.distance.DistanceMeasure.annotation_distances` —
+    gathers it by code and adds the columns in sequence order starting
+    from ``0.0``: the float additions of
+    :meth:`~repro.core.distance.DistanceMeasure.sequence_distance`, in its
+    order, so every distance is bit-identical to it.  Rows within the
+    radius are kept and each graph's minimum is reported.
+
+    >>> from repro.core import MutationDistance
+    >>> store = SequenceStore(MutationDistance(), 2)
+    >>> store.insert(("C", "N"), 0)
+    >>> store.insert(("C", "N"), 0)
+    >>> store.insert(("C", "O"), 1)
+    >>> len(store), store.range_query(("C", "O"), 1.0)
+    (2, {0: 1.0, 1: 0.0})
     """
 
-    __slots__ = (
-        "measure",
-        "_vectors",
-        "_graph_ids",
-        "_matrix",
-        "_by_graph",
-        "_num_entries",
-    )
-
-    def __init__(self, measure: DistanceMeasure):
+    def __init__(self, measure: DistanceMeasure, length: int):
         self.measure = measure
-        self._vectors: List[Vector] = []
-        self._graph_ids: List[int] = []
-        self._matrix = None
-        self._by_graph: Dict[int, Set[Vector]] = {}
-        self._num_entries = 0
+        #: the class's layout length; every sequence must have it
+        self.length = length
+        # distinct sequences: by number, number by sequence, and their code
+        # rows (row-major, ``length`` codes each)
+        self._sequences: List[AnnotationSequence] = []
+        self._numbers: Dict[AnnotationSequence, int] = {}
+        self._codes = array("q")
+        # per position: code by annotation, in code order
+        self._alphabets: List[Dict[Any, int]] = [{} for _ in range(length)]
+        # one row per entry: its sequence number and graph id
+        self._rows = array("q")
+        self._ids = array("q")
+        # the graphs owning each sequence, by number: insert's dedup sets
+        self._owners: List[Set[int]] = []
 
     def __len__(self) -> int:
-        """Number of distinct ``(vector, graph_id)`` entries."""
-        return self._num_entries
+        """Number of distinct ``(sequence, graph_id)`` entries (rows)."""
+        return len(self._ids)
+
+    def _check_length(self, sequence: AnnotationSequence) -> None:
+        if len(sequence) != self.length:
+            raise ValueError(
+                f"sequence of length {len(sequence)} in an equivalence class "
+                f"whose sequences have length {self.length}"
+            )
+
+    def _number(self, sequence: AnnotationSequence) -> int:
+        number = self._numbers.get(sequence)
+        if number is None:
+            self._check_length(sequence)
+            codes = self._codes
+            for alphabet, annotation in zip(self._alphabets, sequence):
+                codes.append(alphabet.setdefault(annotation, len(alphabet)))
+            number = self._numbers[sequence] = len(self._sequences)
+            self._sequences.append(sequence)
+            self._owners.append(set())
+        return number
 
     def insert(self, sequence: AnnotationSequence, graph_id: int) -> None:
-        vector = self.measure.vectorize(sequence)
-        self._vectors.append(vector)
-        self._graph_ids.append(graph_id)
-        self._matrix = None
-        distinct = self._by_graph.setdefault(graph_id, set())
-        if vector not in distinct:
-            distinct.add(vector)
-            self._num_entries += 1
+        number = self._number(sequence)
+        owners = self._owners[number]
+        if graph_id in owners:
+            return
+        owners.add(graph_id)
+        self._rows.append(number)
+        self._ids.append(graph_id)
 
     def delete(self, graph_id: int) -> int:
-        """Drop every row of ``graph_id``; return its distinct-entry count."""
-        distinct = self._by_graph.pop(graph_id, None)
-        if distinct is None:
+        """Drop every row of ``graph_id``; return how many there were."""
+        ids = _np.frombuffer(self._ids, dtype=_np.int64)
+        keep = ids != graph_id
+        removed = len(ids) - int(_np.count_nonzero(keep))
+        if not removed:
             return 0
-        kept = [
-            (vector, owner)
-            for vector, owner in zip(self._vectors, self._graph_ids)
-            if owner != graph_id
-        ]
-        self._vectors = [vector for vector, _ in kept]
-        self._graph_ids = [owner for _, owner in kept]
-        self._matrix = None
-        self._num_entries -= len(distinct)
-        return len(distinct)
+        rows = _np.frombuffer(self._rows, dtype=_np.int64)
+        for number in rows[~keep].tolist():
+            self._owners[number].discard(graph_id)
+        self._rows = array("q", rows[keep].tobytes())
+        self._ids = array("q", ids[keep].tobytes())
+        if len(self._sequences) > 2 * len(self._ids) + 32:
+            # amortised over the inserts that made the dead sequences
+            entries = list(self.entries())
+            self.__init__(self.measure, self.length)
+            for sequence, owner in entries:
+                self.insert(sequence, owner)
+        return removed
 
-    def entries(self) -> Iterator[Tuple[Vector, int]]:
-        for graph_id, vectors in self._by_graph.items():
-            for vector in vectors:
-                yield vector, graph_id
+    def entries(self) -> Iterator[Tuple[AnnotationSequence, int]]:
+        """The stored ``(sequence, graph_id)`` entries, read from the rows."""
+        sequences = self._sequences
+        return zip([sequences[number] for number in self._rows], self._ids.tolist())
 
     def range_query(
         self, sequence: AnnotationSequence, radius: float
     ) -> Dict[int, float]:
-        """``{graph_id: min L1 distance}`` over all stored vectors."""
-        results: Dict[int, float] = {}
-        if not self._vectors:
-            return results
-        point = self.measure.vectorize(sequence)
-        if len(self._vectors) > _SCALAR_SCAN_MAX:
-            if self._matrix is None:
-                self._matrix = _np.asarray(self._vectors, dtype=float)
-            distances = _np.abs(self._matrix - _np.asarray(point, dtype=float)).sum(
-                axis=1
-            )
-            for position in _np.nonzero(distances <= radius)[0]:
-                graph_id = self._graph_ids[position]
-                distance = float(distances[position])
-                best = results.get(graph_id)
-                if best is None or distance < best:
-                    results[graph_id] = distance
-            return results
-        for vector, graph_id in zip(self._vectors, self._graph_ids):
-            distance = sum(abs(a - b) for a, b in zip(point, vector))
-            if distance <= radius:
-                best = results.get(graph_id)
-                if best is None or distance < best:
-                    results[graph_id] = distance
-        return results
+        """Return ``{graph_id: min distance}`` for distances ``<= radius``."""
+        self._check_length(sequence)
+        if not self._ids:
+            return {}
+        codes = _np.frombuffer(self._codes, dtype=_np.int64).reshape(
+            len(self._sequences), self.length
+        )
+        scores = _np.zeros(len(codes))
+        for position, (annotation, alphabet) in enumerate(
+            zip(sequence, self._alphabets)
+        ):
+            row = self.measure.annotation_distances(annotation, list(alphabet))
+            scores += row[codes[:, position]]
+        rows = _np.frombuffer(self._rows, dtype=_np.int64)
+        hits = _np.flatnonzero((scores <= radius)[rows])
+        numbers = rows[hits]
+        ids = _np.frombuffer(self._ids, dtype=_np.int64)[hits]
+        # by graph, then distance: each graph's first row is its minimum
+        order = _np.lexsort((scores[numbers], ids))
+        ids = ids[order]
+        first = _np.ones(len(ids), dtype=bool)
+        first[1:] = ids[1:] != ids[:-1]
+        best = order[first]
+        # one float object per sequence, shared by the graphs it reaches
+        distances = scores.tolist()
+        return {
+            graph_id: distances[number]
+            for graph_id, number in zip(ids[first].tolist(), numbers[best].tolist())
+        }
 
 
 class EquivalenceClassIndex:
@@ -142,12 +184,8 @@ class EquivalenceClassIndex:
         self.code = code
         self.measure = measure
         self.sequencer = FragmentSequencer(code)
-        #: the class's one range-query store, chosen from the measure
-        self.store: Union[TrieBackend, _VectorStore] = (
-            _VectorStore(measure)
-            if measure.supports_vectorization()
-            else TrieBackend(measure)
-        )
+        #: the class's range-query store
+        self.store = SequenceStore(measure, self.sequencer.sequence_length(measure))
         # graphs that contain at least one occurrence of this structure
         self._containing_graphs: Set[int] = set()
         self._num_occurrences = 0
@@ -263,15 +301,11 @@ class EquivalenceClassIndex:
         return len(self.store)
 
     def entries(self) -> Iterator[Tuple[AnnotationSequence, int]]:
-        """Iterate over stored ``(sequence, graph_id)`` entries.
-
-        The vector store yields each sequence in its vectorized form.
-        """
+        """Iterate over stored ``(sequence, graph_id)`` entries."""
         return self.store.entries()
 
     def __repr__(self) -> str:
         return (
             f"<EquivalenceClassIndex edges={self.sequencer.num_edges} "
-            f"graphs={self.num_containing_graphs} entries={self.num_entries} "
-            f"store={type(self.store).__name__}>"
+            f"graphs={self.num_containing_graphs} entries={self.num_entries}>"
         )

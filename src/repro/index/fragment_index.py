@@ -153,9 +153,9 @@ class FragmentIndex:
         matter).  Duplicated structures collapse into one class.
     measure:
         The superimposed distance measure the index is built for.  The
-        measure decides what is stored per fragment (labels vs. weights) and
-        which store each class uses (a trie for categorical measures, a
-        vector store for numeric ones).
+        measure decides what is stored per fragment (labels vs. weights)
+        and scores it in each class's one store
+        (:class:`~repro.index.class_index.SequenceStore`).
     """
 
     def __init__(self, features: Iterable[LabeledGraph], measure: DistanceMeasure):

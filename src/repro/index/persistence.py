@@ -5,9 +5,12 @@ never the database graphs themselves — so an index is naturally
 serializable: per equivalence class we keep the class skeleton (as an edge
 list over DFS indices) and the list of ``(sequence, [graph ids])`` entries,
 plus a description of the distance measure so the index can be rebuilt with
-identical behaviour.  The measure alone picks each class's range-query
-store; documents of schema 1–5 written while the store was configurable
-still carry ``"backend"`` / ``"backend_options"`` keys, which load ignored.
+identical behaviour.  Every class keeps its entries in the one
+range-query store; documents of schema 1–5 written while the store was
+configurable still carry ``"backend"`` / ``"backend_options"`` keys, which
+load ignores.  Every entry's sequence must have its class's layout length
+(one annotation per scored skeleton element); loading a document that
+breaks this raises :class:`~repro.core.errors.SerializationError`.
 
 Only JSON-scalar annotations (strings, numbers, booleans) are supported,
 which covers both paper measures (categorical labels and numeric weights).
@@ -245,8 +248,14 @@ def index_from_dict(
         skeleton = LabeledGraph.from_dict(class_data["skeleton"])
         code = index.add_feature(skeleton)
         class_index = index.get_class(code)
+        length = class_index.store.length
         for entry in class_data.get("entries", []):
             sequence = tuple(entry["sequence"])
+            if len(sequence) != length:
+                raise SerializationError(
+                    f"index entry {list(sequence)!r} has {len(sequence)} "
+                    f"annotations; its class's sequences have {length}"
+                )
             for graph_id in entry["graph_ids"]:
                 class_index.insert_sequence(sequence, graph_id)
         stored_occurrences = class_data.get("num_occurrences")

@@ -1,5 +1,6 @@
 """Tests for distance measures (mutation matrix, MD, LD)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,11 +88,21 @@ class TestMutationDistance:
         with pytest.raises(DistanceError):
             measure.sequence_distance(("a",), ("a", "b"))
 
-    def test_vectorization_unsupported(self):
-        measure = MutationDistance()
-        assert not measure.supports_vectorization()
-        with pytest.raises(DistanceError):
-            measure.vectorize(("a", "b"))
+    def test_annotation_distances_match_scalar(self):
+        # the score-row hook equals annotation_distance bit for bit, for a
+        # graded matrix too
+        matrix = MutationScoreMatrix()
+        matrix.set_score("single", "double", 0.1)
+        matrix.set_score("double", "aromatic", 0.7)
+        measure = MutationDistance(matrix=matrix, include_vertices=False)
+        labels = ["single", "double", "aromatic", "triple", 3]
+        for label in labels:
+            row = measure.annotation_distances(label, labels)
+            assert row.dtype == np.float64
+            assert row.tolist() == [
+                measure.annotation_distance(label, other) for other in labels
+            ]
+        assert measure.annotation_distances("single", []).tolist() == []
 
     def test_default_edge_measure_matches_paper_setup(self):
         measure = default_edge_mutation_distance()
@@ -138,10 +149,19 @@ class TestLinearMutationDistance:
         embedding = [e for e in find_embeddings(query, target) if e.mapping[0] == 0][0]
         assert measure.embedding_cost(query, target, embedding) == pytest.approx(1.0)
 
-    def test_vectorize(self):
+    @given(
+        st.floats(min_value=-50, max_value=50),
+        st.lists(st.floats(min_value=-50, max_value=50), max_size=12),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_annotation_distances_match_scalar(self, weight, weights):
+        # the numpy score row equals annotation_distance bit for bit
         measure = LinearMutationDistance()
-        assert measure.supports_vectorization()
-        assert measure.vectorize((1, 2.5)) == (1.0, 2.5)
+        row = measure.annotation_distances(weight, weights)
+        assert row.tolist() == [
+            measure.annotation_distance(weight, other) for other in weights
+        ]
+        assert measure.annotation_distances(1, [2, 2.5]).tolist() == [1.0, 1.5]
 
     @given(
         st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=6),

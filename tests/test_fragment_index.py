@@ -12,10 +12,15 @@ from repro.core import (
     GraphDatabase,
     INFINITE_DISTANCE,
     LinearMutationDistance,
+    MutationDistance,
     minimum_superimposed_distance,
     structure_code,
 )
-from repro.core.errors import FeatureNotIndexedError, IndexNotBuiltError
+from repro.core.errors import (
+    FeatureNotIndexedError,
+    IndexNotBuiltError,
+    SerializationError,
+)
 from repro.index import (
     EquivalenceClassIndex,
     FragmentIndex,
@@ -204,6 +209,25 @@ class TestPersistence:
             legacy.pop(key)
         legacy["version"] = document["version"]
         assert json.dumps(index_to_dict(loaded)) == json.dumps(legacy)
+
+    @pytest.mark.parametrize("measure_name", ["mutation", "linear"])
+    def test_load_rejects_entry_of_wrong_length(self, measure_name):
+        database = GraphDatabase([cycle_graph(4), path_graph(3)])
+        for graph in database:
+            for (u, v) in graph.edges():
+                graph.set_edge_weight(u, v, 1.5)
+        measure = (
+            LinearMutationDistance(include_vertices=False)
+            if measure_name == "linear"
+            else MutationDistance(include_vertices=False)
+        )
+        index = FragmentIndex([path_structure(2)], measure).build(database)
+        document = index_to_dict(index)
+        entry = document["classes"][0]["entries"][0]
+        assert len(entry["sequence"]) == 2
+        entry["sequence"] = entry["sequence"][:1]
+        with pytest.raises(SerializationError, match="annotations"):
+            index_from_dict(document)
 
     def test_load_rejects_other_formats(self, tmp_path):
         from repro.core.errors import SerializationError

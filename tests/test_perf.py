@@ -380,10 +380,12 @@ class TestIndexSchema:
 
 
 # ----------------------------------------------------------------------
-# vectorized range scans (linear measure)
+# coded-column range scans under the linear measure
 # ----------------------------------------------------------------------
 class TestVectorizedScans:
     def test_vectorized_matches_backend_on_weighted_graphs(self):
+        # vertices and edges are scored, so a 3-edge fragment has up to 7
+        # positions; every distance must equal the reference's exactly
         from repro import generate_weighted_database
 
         database = generate_weighted_database(25, seed=3)
@@ -395,7 +397,7 @@ class TestVectorizedScans:
                 "max_features": 40,
                 "sample_size": 15,
             },
-            measure={"name": "linear", "include_vertices": False, "include_edges": True},
+            measure={"name": "linear", "include_vertices": True, "include_edges": True},
         )
         engine = Engine.build(database, config)
         queries = QueryWorkload(database, seed=13).sample_queries(6, 2)

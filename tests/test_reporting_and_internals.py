@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import GraphDatabase, default_edge_mutation_distance
 from repro.index import FragmentIndex
-from repro.index.trie import TrieBackend
+from repro.index.class_index import SequenceStore
 from repro.mining import GIndexFeatureSelector
 from repro.search import NaiveSearch, PISearch, SearchResult, TopoPruneSearch
 from repro.search.results import PruningReport
@@ -54,14 +54,18 @@ class TestResultContainers:
 
 
 class TestTrieInternals:
+    """The class store's coded rows decode back to the inserted entries."""
+
     def test_entries_round_trip(self, edge_measure):
-        backend = TrieBackend(edge_measure)
-        backend.insert(("a", "b"), 1)
-        backend.insert(("a", "b"), 2)
-        backend.insert(("c", "d"), 1)
-        entries = sorted(backend.entries())
+        store = SequenceStore(edge_measure, 2)
+        store.insert(("a", "b"), 1)
+        store.insert(("a", "b"), 2)
+        store.insert(("c", "d"), 1)
+        entries = sorted(store.entries())
         assert entries == [(("a", "b"), 1), (("a", "b"), 2), (("c", "d"), 1)]
-        assert {graph_id for _, graph_id in backend.entries()} == {1, 2}
+        assert {graph_id for _, graph_id in store.entries()} == {1, 2}
+        assert store.delete(1) == 2
+        assert list(store.entries()) == [(("a", "b"), 2)]
 
 
 class TestStrategyGlue:

@@ -37,7 +37,7 @@ from repro.datasets.generator import (
 )
 from repro.datasets.queries import QueryWorkload
 from repro.engine import Engine, EngineConfig
-from repro.index.class_index import _SCALAR_SCAN_MAX, _VectorStore
+from repro.index.class_index import SequenceStore
 from repro.index.fragment_index import FragmentIndex
 from repro.index.persistence import (
     INDEX_SCHEMA_VERSION,
@@ -46,7 +46,6 @@ from repro.index.persistence import (
     load_index,
     save_index,
 )
-from repro.index.trie import TrieBackend
 from repro.mining.exhaustive import ExhaustiveFeatureSelector
 from repro.search import BoundedVerifier
 
@@ -169,18 +168,21 @@ NUMERIC_ENTRIES = [
     ((3.0, 1.0), 2),
     ((1.0, 2.0), 2),
 ]
-STORES = {"trie": TrieBackend, "vector": _VectorStore, "linear": LinearScanBackend}
 
 
 def store_under_test(name):
-    """A fresh store, its measure and entries; ``linear`` is the reference."""
+    """A fresh store, its measure and entries: ``trie`` is the store under
+    the categorical measure, ``vector`` under the numeric one, and
+    ``linear`` the reference scan."""
     if name == "trie":
         measure = default_edge_mutation_distance()
         entries = CATEGORICAL_ENTRIES
     else:
         measure = LinearMutationDistance(include_vertices=False, include_edges=True)
         entries = NUMERIC_ENTRIES
-    return STORES[name](measure), measure, entries
+    if name == "linear":
+        return LinearScanBackend(measure), measure, entries
+    return SequenceStore(measure, 2), measure, entries
 
 
 class TestBackendDelete:
@@ -217,9 +219,8 @@ class TestBackendDelete:
 
     def test_reinsert_after_delete_hides_stale_vectors(self):
         measure = LinearMutationDistance(include_vertices=False, include_edges=True)
-        # enough filler rows that the numpy pass (and its cached matrix) runs
-        filler = [((50.0 + k, 50.0), 3) for k in range(_SCALAR_SCAN_MAX)]
-        store = _VectorStore(measure)
+        filler = [((50.0 + k, 50.0), 3) for k in range(40)]
+        store = SequenceStore(measure, 2)
         for sequence, graph_id in NUMERIC_ENTRIES + filler:
             store.insert(sequence, graph_id)
         assert store.range_query((9.0, 9.0), 0.0) == {1: 0.0}
@@ -232,6 +233,33 @@ class TestBackendDelete:
         assert [entry for entry in store.entries() if entry[1] == 1] == [
             ((7.0, 7.0), 1)
         ]
+
+    @pytest.mark.parametrize("name", ["trie", "vector"])
+    def test_churn_matches_reference(self, name):
+        # Rounds of deletes and fresh inserts: the store keeps answering
+        # like the reference scan, and its memo of distinct sequences
+        # (which deletes leave behind) stays bounded by the live rows.
+        store, measure, _ = store_under_test(name)
+        reference = LinearScanBackend(measure)
+        rng = random.Random(11)
+        pick = (
+            (lambda: (rng.choice("abc"), rng.choice("abc")))
+            if name == "trie"
+            else (lambda: (round(rng.uniform(0, 5), 2), round(rng.uniform(0, 5), 2)))
+        )
+        for round_ in range(30):
+            for graph_id in range(round_ * 4, round_ * 4 + 4):
+                for _ in range(3):
+                    sequence = pick()
+                    store.insert(sequence, graph_id)
+                    reference.insert(sequence, graph_id)
+            for graph_id in range(round_ * 4 - 8, round_ * 4 - 4):
+                assert store.delete(graph_id) == reference.delete(graph_id)
+            assert len(store) == len(reference)
+            assert sorted(store.entries()) == sorted(reference.entries())
+            query = pick()
+            assert store.range_query(query, 1.5) == reference.range_query(query, 1.5)
+        assert len(store._sequences) <= 2 * len(store) + 32
 
 
 # ----------------------------------------------------------------------
